@@ -16,10 +16,12 @@ Two search-state engines produce *identical* results (same test, same
 decision and backtrack counts, property-tested in
 ``tests/test_atpg_equivalence.py``):
 
-* the **event-driven engine** (default): on each decision or backtrack
-  only the fanout cone of the changed control point is re-evaluated,
-  for both machines, and the D-frontier and detection state are
-  maintained incrementally;
+* the **event-driven engine** (default): each search starts from the
+  netlist's cached all-X good machine and propagates only the fault
+  sites; on each decision or backtrack only the fanout cone of the
+  changed control point is re-evaluated, the faulty machine only
+  inside the fault's combinational fanout, and the D-frontier and
+  detection state are maintained incrementally;
 * the **reference engine**: whole-netlist 3-valued re-simulation of
   both machines on every search step, kept for equivalence checking.
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 from repro.gatelevel.faults import Fault
 from repro.gatelevel.gates import Netlist
@@ -199,11 +202,11 @@ def combinational_atpg(
     cached per-netlist analysis is used.
     """
     backend = resolve_atpg_backend(backend)
-    order = netlist.topo_order()
+    ctx = _context(netlist)
     if observe is None:
-        observe = default_observe(netlist)
+        observe = ctx.observe
     if control is None:
-        control = default_control(netlist)
+        control = ctx.control
     scoap = None
     if resolve_guidance(guidance):
         if structure is None:
@@ -225,10 +228,13 @@ def combinational_atpg(
     if (site_gate is not None and site_gate.kind == "dff"
             and site_gate.scan and forced_extra is None):
         scan_obs = (site_gate.inputs[0], 1 - fault.stuck_at)
-    reachable = _control_support(netlist, order, control)
+    if control is ctx.control:
+        reachable = ctx.support
+    else:
+        reachable = _control_support(netlist, ctx.order, control)
     if backend == "event":
         engine: _ReferenceEngine | _EventEngine = _EventEngine(
-            netlist, forced, observe
+            netlist, forced, observe, ctx
         )
     else:
         engine = _ReferenceEngine(netlist, forced, observe)
@@ -388,45 +394,97 @@ class _ReferenceEngine:
 _SOURCE_KINDS = ("input", "dff", "const0", "const1")
 
 
+class _PodemContext:
+    """Per-netlist search state every fault's PODEM shares: topo and
+    insertion positions, consumers, the default observe/control lists,
+    their control support and the all-X good machine (the good
+    machine under the empty assignment every search starts from)."""
+
+    __slots__ = ("sig", "order", "topo_pos", "scan_pos", "consumers",
+                 "observe", "observe_set", "control", "support",
+                 "good_x")
+
+    def __init__(self, netlist: Netlist, sig: tuple) -> None:
+        self.sig = sig
+        order = netlist.topo_order()
+        self.order = order
+        self.topo_pos = {n: i for i, n in enumerate(order)}
+        # _d_frontier scans gates in insertion order; the maintained
+        # frontier must report its minimum under the same order.
+        self.scan_pos = {n: i for i, n in enumerate(netlist.gates)}
+        self.consumers = netlist.consumers()
+        self.observe = default_observe(netlist)
+        self.observe_set = frozenset(self.observe)
+        self.control = default_control(netlist)
+        self.support = _control_support(netlist, order, self.control)
+        self.good_x = _sim3_gates([netlist.gate(n) for n in order], {})
+
+
+#: netlist -> its :class:`_PodemContext`, held weakly like the kernel's
+#: compile cache and rebuilt when the netlist mutates.
+_CONTEXTS: "WeakKeyDictionary[Netlist, _PodemContext]" = WeakKeyDictionary()
+
+
+def _context(netlist: Netlist) -> _PodemContext:
+    """The cached search context of ``netlist``, keyed like
+    :func:`repro.gatelevel.kernel.compiled` by its mutation counter and
+    output list."""
+    sig = (netlist.version, tuple(netlist.outputs))
+    ctx = _CONTEXTS.get(netlist)
+    if ctx is None or ctx.sig != sig:
+        ctx = _PodemContext(netlist, sig)
+        _CONTEXTS[netlist] = ctx
+    return ctx
+
+
 class _EventEngine:
     """Event-driven incremental search state.
 
-    Both machines are fully simulated once (under the empty
-    assignment); every subsequent decision/backtrack re-evaluates only
-    the fanout cone of the changed control point, in topological order,
-    stopping where values settle.  The D-frontier is a maintained set
-    (queried as "first gate in netlist insertion order", matching
-    :func:`_d_frontier`'s scan order exactly), and detection is a
-    maintained set of observation points currently showing a binary
-    good/bad difference.
+    The good machine starts as a copy of the context's all-X state and
+    the faulty machine as a second copy with only the fault sites
+    propagated.  Outside the fault's combinational fanout -- the sites
+    plus every gate they reach without crossing a flip-flop -- the
+    faulty machine equals the good one by construction, so it is never
+    evaluated there and no frontier or detection recheck happens there.
+    Every decision/backtrack re-evaluates only the fanout cone of the
+    changed control point, in topological order, stopping where values
+    settle.  The D-frontier is a maintained set (queried as "first gate
+    in netlist insertion order", matching :func:`_d_frontier`'s scan
+    order exactly), and detection is a maintained set of observation
+    points currently showing a binary good/bad difference.
     """
 
     def __init__(self, netlist: Netlist, forced: Mapping[str, int],
-                 observe: Sequence[str]) -> None:
+                 observe: Sequence[str], ctx: _PodemContext) -> None:
         self.netlist = netlist
         gates = netlist.gates
         self._gates = gates
         self.forced = {n: v for n, v in forced.items() if n in gates}
-        order = netlist.topo_order()
-        self._topo_pos = {n: i for i, n in enumerate(order)}
-        self._order = order
-        # _d_frontier scans gates in insertion order; the maintained
-        # frontier must report its minimum under the same order.
-        self._scan_pos = {n: i for i, n in enumerate(gates)}
-        self._consumers = netlist.consumers()
+        self._topo_pos = ctx.topo_pos
+        self._order = ctx.order
+        self._scan_pos = ctx.scan_pos
+        self._consumers = ctx.consumers
+        self._observe_set = (ctx.observe_set if observe is ctx.observe
+                             else set(observe))
+        self._fanout = self._fault_fanout()
         self.assign: dict[str, int] = {}
-        topo_gates = [gates[n] for n in order]
-        self.good = _sim3_gates(topo_gates, {})
-        self.bad = _sim3_gates(topo_gates, {}, forced=self.forced)
-        self._observe_set = set(observe)
-        self._diff_obs = {
-            o for o in self._observe_set
-            if self.good[o] is not X and self.bad[o] is not X
-            and self.good[o] != self.bad[o]
-        }
-        self._frontier = {
-            g.name for g in netlist if self._is_frontier(g.name)
-        }
+        self.good = dict(ctx.good_x)
+        self.bad = dict(ctx.good_x)
+        self._diff_obs: set[str] = set()
+        self._frontier: set[str] = set()
+        self._propagate(*self.forced)
+
+    def _fault_fanout(self) -> set[str]:
+        """The fault sites plus every gate they reach combinationally."""
+        gates, consumers = self._gates, self._consumers
+        seen = set(self.forced)
+        stack = list(seen)
+        while stack:
+            for c in consumers.get(stack.pop(), ()):
+                if c not in seen and gates[c].kind != "dff":
+                    seen.add(c)
+                    stack.append(c)
+        return seen
 
     # -- engine interface ------------------------------------------------
 
@@ -473,30 +531,31 @@ class _EventEngine:
         bad = self.bad
         return _eval3(kind, [bad[i] for i in gate.inputs])
 
-    def _propagate(self, root: str) -> None:
-        """Re-evaluate the fanout cone of ``root`` in topological order,
+    def _propagate(self, *roots: str) -> None:
+        """Re-evaluate the fanout cone of ``roots`` in topological order,
         then refresh frontier/detection views for the changed nets."""
         topo_pos = self._topo_pos
         consumers = self._consumers
         forced = self.forced
-        heap = [topo_pos[root]]
-        queued = {root}
+        fanout = self._fanout
+        good, bad = self.good, self.bad
+        heap = sorted(topo_pos[r] for r in roots)
+        queued = set(roots)
         changed: list[str] = []
         while heap:
             name = self._order[heappop(heap)]
             queued.discard(name)
-            delta = False
             g = self._eval_good(name)
-            if g != self.good[name]:
-                self.good[name] = g
-                delta = True
-            if name in forced:
-                b = forced[name]
-            else:
-                b = self._eval_bad(name)
-            if b != self.bad[name]:
-                self.bad[name] = b
-                delta = True
+            delta = g != good[name]
+            if delta:
+                good[name] = g
+            if name in fanout:
+                b = forced[name] if name in forced else self._eval_bad(name)
+                if b != bad[name]:
+                    bad[name] = b
+                    delta = True
+            elif delta:
+                bad[name] = g  # outside the fanout bad mirrors good
             if delta:
                 changed.append(name)
                 for c in consumers.get(name, ()):
@@ -507,16 +566,23 @@ class _EventEngine:
             self._update_views(changed)
 
     def _update_views(self, changed: list[str]) -> None:
+        # Frontier gates and differing observation points both lie in
+        # the fault's fanout, so nothing outside it needs a recheck.
         good, bad = self.good, self.bad
-        recheck = set(changed)
+        fanout = self._fanout
+        recheck = set()
         for name in changed:
-            if name in self._observe_set:
-                if (good[name] is not X and bad[name] is not X
-                        and good[name] != bad[name]):
-                    self._diff_obs.add(name)
-                else:
-                    self._diff_obs.discard(name)
-            recheck.update(self._consumers.get(name, ()))
+            if name in fanout:
+                recheck.add(name)
+                if name in self._observe_set:
+                    if (good[name] is not X and bad[name] is not X
+                            and good[name] != bad[name]):
+                        self._diff_obs.add(name)
+                    else:
+                        self._diff_obs.discard(name)
+            recheck.update(
+                c for c in self._consumers.get(name, ()) if c in fanout
+            )
         frontier = self._frontier
         for name in recheck:
             if self._is_frontier(name):

@@ -112,6 +112,7 @@ class FusedProgram:
 
     def __init__(self, members: Sequence) -> None:
         from repro.gatelevel.gates import NetlistError
+        from repro.gatelevel.kernel import _group_index
 
         if _np is None:  # pragma: no cover - guarded by have_kernel()
             raise NetlistError("fused kernel requires numpy")
@@ -205,23 +206,21 @@ class FusedProgram:
                 c = (_np.concatenate([p[4] for p in parts])
                      if parts[0][4] is not None else None)
             self.program.append((op, dst, a, b, c))
-        # Row -> (merged group, position within it): ``_make_batch``
-        # derives each batch's kept instructions straight from the
-        # cone-union row set with vectorised gathers, never visiting
-        # the (mostly empty) merged groups one by one.
-        row_group = _np.full(self.n_gates, -1, dtype=_np.int64)
-        row_pos = _np.zeros(self.n_gates, dtype=_np.int64)
-        for g, (_op, dst, _a, _b, _c) in enumerate(self.program):
-            row_group[dst] = g
-            row_pos[dst] = _np.arange(len(dst))
-        self._row_group = row_group
-        self._row_pos = row_pos
+        # The kernel's row -> (merged group, position) map, so batch
+        # compiles gather kept instructions without visiting the
+        # (mostly empty) merged groups one by one.
+        self._row_group, self._row_pos, self._group_level = _group_index(
+            self.program, self.level
+        )
 
         consumers: list[list[int]] = []
         for comp, ofs in zip(self.members, offsets):
             for lst in comp._consumers:
                 consumers.append([i + ofs for i in lst])
         self._consumers = consumers
+        self._ff_kind = bytearray().join(
+            comp._ff_kind for comp in self.members
+        )
         self._cones: dict = {}
         self._level_program_cache = None
 
@@ -240,16 +239,11 @@ class FusedProgram:
         return out
 
     # ------------------------------------------------------------------
-    # span-aware overrides
+    # member-aware overrides
     #
-    # The borrowed kernel methods are correct on the fused layout but
-    # three of them scan the *whole* fused program per fault site or
-    # batch -- O(total rows) pure-Python work that scales with corpus
-    # size, not member size, and would make fusion slower than serial.
-    # Each override below is byte-identical by construction: fault
-    # cones never cross member blocks, so work outside the member-row
-    # span a batch touches can neither be read by its cone program nor
-    # observed.
+    # Both are byte-identical by construction: fault cones never cross
+    # member blocks, so work outside the member-row span a batch
+    # touches can neither be read by its cone program nor observed.
 
     def cone(self, site: int):
         """Member-delegating cone: the owning design's cached cone with
@@ -271,204 +265,43 @@ class FusedProgram:
         ]
         cone = _Cone(
             site, program, mc.touched + ofs, mc.obs_out + ofs,
-            mc.obs_scan + dofs,
-            None if mc.site_dff_pos is None else mc.site_dff_pos + dofs,
+            mc.obs_scan + dofs, mc.obs_d + ofs, mc.site_obs,
         )
         self._cones[site] = cone
         return cone
 
-    def _make_batch(self, faults: Sequence[Fault], width: int, init,
-                    mask):
-        """Vectorised union-of-cones compile plus row-span tagging.
-
-        Same semantics as the kernel's ``_make_batch``, but the
-        per-group membership test is a numpy gather instead of a
-        Python scan, and the batch records the contiguous member-row
-        (and DFF-position) span its faults live in so ``_batch_cycle``
-        can restrict scratch refresh and state propagation to it.
-        """
-        from repro.gatelevel.kernel import OP_BUF, _n_words
-
-        nw = _n_words(width)
-        sites = [self.index[f.net] for f in faults]
-        forced = [
-            _np.zeros(nw, dtype=_np.uint64) if f.stuck_at == 0
-            else mask.copy()
-            for f in faults
-        ]
-        seen = set(sites)
-        stack = list(sites)
-        while stack:
-            i = stack.pop()
-            for k in self._consumers[i]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-        member = _np.zeros(self.n_gates, dtype=bool)
-        member[list(seen)] = True
-        fix_by_level: dict[int, list[tuple[int, int]]] = {}
-        for blk, site in enumerate(sites):
-            if int(self.opcode[site]) >= OP_BUF:
-                fix_by_level.setdefault(int(self.level[site]), []).append(
-                    (site, blk)
-                )
-
-        # The contiguous run of member blocks this batch's cones span
-        # (faults arrive sorted by fused row, so the run is tight).
-        klo = bisect_right(self.offsets, min(seen)) - 1
-        khi = bisect_right(self.offsets, max(seen)) - 1
-        row_lo = self.offsets[klo]
-        row_hi = self.offsets[khi] + self.members[khi].n_gates
-
-        # Kept instructions straight from the cone union: gather each
-        # seen row's (group, position), order by group then position
-        # (the kernel's within-group order), split at group changes.
-        rows = _np.fromiter(seen, dtype=_np.int64, count=len(seen))
-        g_of = self._row_group[rows]
-        comb = g_of >= 0
-        rows, g_of = rows[comb], g_of[comb]
-        pos = self._row_pos[rows]
-        order = _np.lexsort((pos, g_of))
-        g_of, pos = g_of[order], pos[order]
-        uniq, starts = _np.unique(g_of, return_index=True)
-        bounds = _np.append(starts, len(g_of))
-        levels: list[tuple[list, tuple]] = []
-        cur_lvl: int | None = None
-        cur: list[tuple] = []
-        for gi, g in enumerate(uniq):
-            op, dst, a, b, c = self.program[g]
-            lvl = int(self.level[dst[0]])
-            if lvl != cur_lvl:
-                if cur:
-                    levels.append((cur, tuple(fix_by_level.get(cur_lvl,
-                                                               ()))))
-                cur_lvl, cur = lvl, []
-            sel = pos[starts[gi]:bounds[gi + 1]]
-            if len(sel) == len(dst):
-                cur.append((op, dst, a, b, c))
-            else:
-                cur.append((
-                    op, dst[sel], a[sel],
-                    b[sel] if b is not None else None,
-                    c[sel] if c is not None else None,
-                ))
-        if cur:
-            levels.append((cur, tuple(fix_by_level.get(cur_lvl, ()))))
-        obs_out = self.output_rows[member[self.output_rows]]
-        obs_scan = self.scan_pos[member[self.dff_rows[self.scan_pos]]]
-        pos_lo = self.dff_offsets[klo]
-        pos_hi = self.dff_offsets[khi] + len(self.members[khi].dff_names)
-
-        # Scan reload only matters for state rows that can be observed
-        # or re-read -- both in-span -- so clip the keep lists to it.
-        sp = self.scan_pos
-        if len(sp):
-            sp = sp[(sp >= pos_lo) & (sp < pos_hi)]
-        site_dff = [self.dff_pos.get(site) for site in sites]
-        keep = []
-        for pos in site_dff:
-            if len(sp) and pos is not None:
-                keep.append(sp[sp != pos])
-            else:
-                keep.append(sp)
-        state = _np.tile(init, (1, len(faults))) if len(self.dff_rows) \
-            else _np.zeros((0, len(faults) * nw), dtype=_np.uint64)
-        batch = _span_batch()(list(faults), sites, forced, site_dff,
-                              keep, levels, obs_out, obs_scan, state)
-        batch.row_lo = row_lo
-        batch.row_hi = row_hi
-        batch.pos_lo = pos_lo
-        batch.pos_hi = pos_hi
-        return batch
-
-    def _batch_cycle(self, batch, VS, mask_b, VG, gnxt, nw: int,
-                     width: int, cycle: int, detected: dict) -> None:
-        """Span-restricted clone of the kernel's ``_batch_cycle``.
-
-        Per-column semantics are identical; scratch refresh and state
-        propagation touch only the member-row span recorded by
-        :meth:`_make_batch`.  Out-of-span rows hold stale scratch, but
-        the batch's cone program neither reads nor observes them.
-        """
-        B = batch.size
-        lo, hi = batch.row_lo, batch.row_hi
-        plo, phi = batch.pos_lo, batch.pos_hi
-        VS.reshape(self.n_gates, B, nw)[lo:hi] = VG[lo:hi, None, :]
-        if phi > plo:
-            VS[self.dff_rows[plo:phi]] = batch.state[plo:phi]
-        for blk in range(B):
-            if batch.alive[blk]:
-                VS[batch.sites[blk],
-                   blk * nw:(blk + 1) * nw] = batch.forced[blk]
-        for instrs, fixes in batch.levels:
-            self._run_program(VS, instrs, mask_b)
-            for site, blk in fixes:
-                if batch.alive[blk]:
-                    VS[site, blk * nw:(blk + 1) * nw] = batch.forced[blk]
-        if phi > plo:
-            bnxt = VS[self.dff_d_rows].copy()
-        else:
-            bnxt = _np.zeros((0, B * nw), dtype=_np.uint64)
-        for blk in range(B):
-            if batch.alive[blk] and batch.site_dff[blk] is not None:
-                bnxt[batch.site_dff[blk],
-                     blk * nw:(blk + 1) * nw] = batch.forced[blk]
-        good_out = VG[batch.obs_out] if len(batch.obs_out) else None
-        good_scan = gnxt[batch.obs_scan] if len(batch.obs_scan) else None
-        for blk, fault in enumerate(batch.faults):
-            if not batch.alive[blk]:
-                continue
-            sl = slice(blk * nw, (blk + 1) * nw)
-            self._pattern_cycles += width
-            hit = (
-                good_out is not None
-                and not _np.array_equal(VS[batch.obs_out, sl], good_out)
-            ) or (
-                good_scan is not None
-                and not _np.array_equal(bnxt[batch.obs_scan, sl],
-                                        good_scan)
-            )
-            if hit:
-                detected[fault] = cycle
-                batch.alive[blk] = False
-                continue
-            if len(batch.keep[blk]):
-                bnxt[batch.keep[blk], sl] = gnxt[batch.keep[blk]]
-            batch.state[plo:phi, sl] = bnxt[plo:phi, sl]
+    def _batch_span(self, sites: Sequence[int]) -> tuple[slice, slice]:
+        """The contiguous run of member blocks holding ``sites`` (faults
+        arrive sorted by fused row, so the run is tight): the kernel's
+        :meth:`_batch_cycle` refreshes scratch and propagates state
+        only inside it."""
+        klo = bisect_right(self.offsets, min(sites)) - 1
+        khi = bisect_right(self.offsets, max(sites)) - 1
+        return (
+            slice(self.offsets[klo],
+                  self.offsets[khi] + self.members[khi].n_gates),
+            slice(self.dff_offsets[klo],
+                  self.dff_offsets[khi] + len(self.members[khi].dff_names)),
+        )
 
 
 # Borrow the kernel's methods: FusedProgram has the exact field layout
 # CompiledNetlist's evaluation paths read, and none of them touch
-# ``self.netlist``.  ``cone``/``_make_batch``/``_batch_cycle`` are NOT
-# borrowed -- their span-aware overrides live in the class body above.
+# ``self.netlist``.  ``cone`` and ``_batch_span`` are NOT borrowed --
+# their member-aware overrides live in the class body above.
 def _borrow_kernel_methods() -> None:
     from repro.gatelevel.kernel import CompiledNetlist
 
     for name in (
-        "words_from_int", "int_from_words", "_mask_words", "_pi_matrix",
-        "pack_pi_sequence", "_state_matrix", "_run_program", "good_cycle",
+        "words_from_int", "int_from_words", "_mask_words", "_value_matrix",
+        "_pi_matrix", "pack_pi_sequence", "_state_matrix", "_run_program",
+        "good_cycle", "_closure", "_kept_levels", "_observed",
         "_faulty_cycle", "_restore", "diff_words", "simulate",
         "state_checkpoints", "_level_program", "sequential_fault_detect",
-        "_seq_fault_batch", "detect_masks", "fault_simulate_cycles",
+        "_seq_fault_batch", "detect_masks", "_make_batch", "_batch_cycle",
+        "fault_simulate_cycles",
     ):
         setattr(FusedProgram, name, CompiledNetlist.__dict__[name])
-
-
-_SPAN_BATCH = None
-
-
-def _span_batch():
-    """The span-tagged :class:`_FaultBatch` subclass (lazy: keeps the
-    kernel import out of this module's import time on no-numpy hosts)."""
-    global _SPAN_BATCH
-    if _SPAN_BATCH is None:
-        from repro.gatelevel.kernel import _FaultBatch
-
-        class _SpanFaultBatch(_FaultBatch):
-            __slots__ = ("row_lo", "row_hi", "pos_lo", "pos_hi")
-
-        _SPAN_BATCH = _SpanFaultBatch
-    return _SPAN_BATCH
 
 
 if _np is not None:

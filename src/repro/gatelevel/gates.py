@@ -67,6 +67,8 @@ class Netlist:
         self._topo_cache: list[str] | None = None
         self._levels_cache: dict[str, int] | None = None
         self._consumers_cache: dict[str, list[str]] | None = None
+        self._inputs_cache: list[str] | None = None
+        self._scan_cache: list[Gate] | None = None
 
     # ------------------------------------------------------------------
 
@@ -91,6 +93,8 @@ class Netlist:
         self._topo_cache = None
         self._levels_cache = None
         self._consumers_cache = None
+        self._inputs_cache = None
+        self._scan_cache = None
 
     @property
     def version(self) -> int:
@@ -109,6 +113,10 @@ class Netlist:
         state["_topo_cache"] = None
         state["_levels_cache"] = None
         state["_consumers_cache"] = None
+        # Dropped outright rather than nulled, so a pickle carries the
+        # same keys -- and the same bytes -- as before these caches.
+        state.pop("_inputs_cache", None)
+        state.pop("_scan_cache", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -119,6 +127,8 @@ class Netlist:
         self.__dict__.setdefault("_topo_cache", None)
         self.__dict__.setdefault("_levels_cache", None)
         self.__dict__.setdefault("_consumers_cache", None)
+        self.__dict__.setdefault("_inputs_cache", None)
+        self.__dict__.setdefault("_scan_cache", None)
 
     # ------------------------------------------------------------------
 
@@ -130,13 +140,23 @@ class Netlist:
         return self._gates[name]
 
     def inputs(self) -> list[str]:
-        return [g.name for g in self._gates.values() if g.kind == "input"]
+        """Primary input names in insertion order (cached per
+        :attr:`version`; the caller gets its own copy)."""
+        if self._inputs_cache is None:
+            self._inputs_cache = [
+                g.name for g in self._gates.values() if g.kind == "input"
+            ]
+        return list(self._inputs_cache)
 
     def dffs(self) -> list[Gate]:
         return [g for g in self._gates.values() if g.kind == "dff"]
 
     def scan_dffs(self) -> list[Gate]:
-        return [g for g in self.dffs() if g.scan]
+        """Scan flip-flops in insertion order (cached like
+        :meth:`inputs`)."""
+        if self._scan_cache is None:
+            self._scan_cache = [g for g in self.dffs() if g.scan]
+        return list(self._scan_cache)
 
     def num_gates(self) -> int:
         return sum(

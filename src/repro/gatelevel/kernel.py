@@ -13,11 +13,18 @@ integer-indexed program and evaluates it over numpy ``uint64`` words:
   simulating ``width = 64 * n_words`` packed patterns per pass instead
   of capping at 64.
 * **Cone-restricted faulty evaluation** — for each fault site the
-  kernel precomputes the transitive fanout closure (through DFFs, so
-  multi-cycle propagation stays sound).  The faulty machine re-evaluates
-  only the gates in that closure and splices good-machine values
-  everywhere else; a scratch/restore discipline keeps the per-fault cost
-  proportional to the cone, not the netlist.
+  kernel precomputes the fanout closure the fault can change, and the
+  faulty machine re-evaluates only the gates in it, splicing
+  good-machine values everywhere else; a scratch/restore discipline
+  keeps the per-fault cost proportional to the cone, not the netlist.
+  A single capture cycle (:meth:`CompiledNetlist.cone`) stops the
+  closure at every flip-flop: a reached flip-flop is an observation
+  sink (its captured next state), but its output is present state the
+  fault cannot change within the cycle.  Multi-cycle fault batches stop
+  only at scan flip-flops, which reload from the good machine every
+  cycle, and still cross non-scan flip-flops.  Both closures gather
+  their kept instructions through one compile-time row -> (group,
+  position) map, so building a cone costs its size, not the program's.
 * **Fault-batched blocks** — fault simulation packs ``FAULT_BATCH``
   faulty machines side by side along the word axis (fault *b* owns
   columns ``b*n_words:(b+1)*n_words``) and evaluates the *union* of
@@ -84,6 +91,11 @@ FAULT_BATCH = 32
 #: golden machine, so each pass carries ``SEQ_FAULT_COLUMNS - 1`` faults)
 SEQ_FAULT_COLUMNS = 256
 
+#: per-row flip-flop kinds, which are also :meth:`CompiledNetlist._closure`
+#: stop levels: a single capture cycle stops at every flip-flop
+#: (``FF_ANY``), a multi-cycle fault batch only at scan ones (``FF_SCAN``)
+FF_ANY, FF_SCAN = 1, 2
+
 
 class _FaultBatch:
     """Up to :data:`FAULT_BATCH` faulty machines sharing one pass.
@@ -91,14 +103,17 @@ class _FaultBatch:
     Fault *b* owns word columns ``b*nw:(b+1)*nw``; ``levels`` is the
     union-of-cones program grouped by level, each with the site
     re-forcings to apply in their blocks once that level completes.
+    ``rows`` and ``pos`` bound the gate rows and DFF positions the
+    batch's cones live in (the whole design for a plain kernel; one
+    run of member blocks in a fused program).
     """
 
     __slots__ = ("faults", "sites", "forced", "site_dff", "keep",
                  "levels", "obs_out", "obs_scan", "state", "alive",
-                 "size")
+                 "size", "rows", "pos")
 
     def __init__(self, faults, sites, forced, site_dff, keep, levels,
-                 obs_out, obs_scan, state) -> None:
+                 obs_out, obs_scan, state, rows, pos) -> None:
         self.faults = faults
         self.sites = sites
         self.forced = forced          # per fault: word vector to force
@@ -110,22 +125,40 @@ class _FaultBatch:
         self.state = state            # (n_dffs, size*nw) faulty states
         self.alive = [True] * len(faults)
         self.size = len(faults)
+        self.rows = rows              # slice of gate rows in span
+        self.pos = pos                # slice of DFF positions in span
 
 
 class _Cone:
-    """Per-fault-site restricted program: the site's fanout closure."""
+    """Per-fault-site restricted program: the site's one-cycle closure."""
 
     __slots__ = ("site", "program", "touched", "obs_out", "obs_scan",
-                 "site_dff_pos")
+                 "obs_d", "site_obs")
 
     def __init__(self, site: int, program: list, touched, obs_out,
-                 obs_scan, site_dff_pos: int | None) -> None:
+                 obs_scan, obs_d, site_obs: int | None) -> None:
         self.site = site
         self.program = program        # [(op, dst, a, b, c)] in level order
         self.touched = touched        # comb gate rows the faulty eval writes
         self.obs_out = obs_out        # output rows that can differ
-        self.obs_scan = obs_scan      # scan-DFF state rows that can differ
-        self.site_dff_pos = site_dff_pos
+        self.obs_scan = obs_scan      # scan-DFF positions that can differ
+        self.obs_d = obs_d            # their D-input rows
+        self.site_obs = site_obs      # index of the site in obs_scan
+
+
+def _group_index(program: Sequence[tuple], level):
+    """Row -> (group, position within it) for a levelized ``program``,
+    plus each group's level: the compile-time map
+    :meth:`CompiledNetlist._kept_levels` gathers kept instructions by.
+    Rows outside every group (sources) map to group -1."""
+    row_group = _np.full(len(level), -1, dtype=_np.int32)
+    row_pos = _np.zeros(len(level), dtype=_np.int32)
+    group_level: list[int] = []
+    for g, (_op, dst, _a, _b, _c) in enumerate(program):
+        row_group[dst] = g
+        row_pos[dst] = _np.arange(len(dst))
+        group_level.append(int(level[dst[0]]))
+    return row_group, row_pos, group_level
 
 
 class CompiledNetlist:
@@ -205,15 +238,22 @@ class CompiledNetlist:
             b = fanin[dst, 1] if op >= OP_AND else None
             c = fanin[dst, 2] if op == OP_MUX else None
             self.program.append((op, dst, a, b, c))
+        self._row_group, self._row_pos, self._group_level = _group_index(
+            self.program, level
+        )
 
         # Fanout adjacency (a DFF "consumes" its D input, which folds
-        # the cross-cycle edge D -> state into the closure).
+        # the cross-cycle edge D -> state into the closure), and each
+        # row's flip-flop kind, where closures stop (see :meth:`_closure`).
         consumers: list[list[int]] = [[] for _ in range(n)]
         for i, name in enumerate(order):
             g = netlist.gate(name)
             for src in g.inputs:
                 consumers[self.index[src]].append(i)
         self._consumers = consumers
+        self._ff_kind = bytearray(n)
+        for row, scan in zip(dff_rows, scan_flags):
+            self._ff_kind[row] = FF_SCAN if scan else FF_ANY
         self._cones: dict[int, _Cone] = {}
         self._level_program_cache: list[tuple[int, list]] | None = None
 
@@ -241,14 +281,30 @@ class CompiledNetlist:
             mask[-1] = _np.uint64((1 << top) - 1)
         return mask
 
-    def _pi_matrix(self, pi_values: Mapping[str, int], width: int):
-        m = _np.zeros((len(self.input_names), _n_words(width)),
-                      dtype=_np.uint64)
-        for k, name in enumerate(self.input_names):
-            v = pi_values.get(name, 0)
-            if v:
-                m[k] = self.words_from_int(v, width)
+    def _value_matrix(self, names: Sequence[str],
+                      values: Mapping[str, int], width: int):
+        """``values`` packed as ``(len(names), n_words)`` words, one row
+        per name (absent names are 0)."""
+        nw = _n_words(width)
+        if nw == 1 and values:
+            # One word per row: a single fromiter over the names, not a
+            # words_from_int round trip per non-zero row.
+            keep = (1 << width) - 1
+            get = values.get
+            return _np.fromiter(
+                (get(name, 0) & keep for name in names),
+                dtype=_np.uint64, count=len(names),
+            ).reshape(len(names), 1)
+        m = _np.zeros((len(names), nw), dtype=_np.uint64)
+        if values:
+            for k, name in enumerate(names):
+                v = values.get(name, 0)
+                if v:
+                    m[k] = self.words_from_int(v, width)
         return m
+
+    def _pi_matrix(self, pi_values: Mapping[str, int], width: int):
+        return self._value_matrix(self.input_names, pi_values, width)
 
     def pack_pi_sequence(self, pi_sequence, width: int):
         """``pi_sequence`` packed as one ``(cycles, inputs, n_words)``
@@ -265,14 +321,7 @@ class CompiledNetlist:
         )
 
     def _state_matrix(self, state: Mapping[str, int] | None, width: int):
-        m = _np.zeros((len(self.dff_names), _n_words(width)),
-                      dtype=_np.uint64)
-        if state:
-            for pos, name in enumerate(self.dff_names):
-                v = state.get(name, 0)
-                if v:
-                    m[pos] = self.words_from_int(v, width)
-        return m
+        return self._value_matrix(self.dff_names, state or {}, width)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -348,78 +397,119 @@ class CompiledNetlist:
     # ------------------------------------------------------------------
     # cone-restricted faulty evaluation
 
+    def _closure(self, roots, stop: int) -> set[int]:
+        """Rows reachable from ``roots`` along fanout edges.
+
+        A reached flip-flop of kind ``stop`` or above joins the closure
+        -- as an observation sink -- but is not expanded; roots always
+        expand.
+        """
+        consumers, kind = self._consumers, self._ff_kind
+        seen = set(roots)
+        stack = list(seen)
+        while stack:
+            for k in consumers[stack.pop()]:
+                if k not in seen:
+                    seen.add(k)
+                    if kind[k] < stop:
+                        stack.append(k)
+        return seen
+
+    def _kept_levels(self, rows) -> list[tuple[int, list]]:
+        """:attr:`program` restricted to the gates in ``rows``, as
+        ``[(level, [instructions])]`` in program order.
+
+        Each row's group and position come from the compile-time map,
+        so the cost follows ``len(rows)``, not the program; a group
+        kept whole is reused as is.
+        """
+        rows = _np.fromiter(rows, dtype=_np.int64, count=len(rows))
+        grp = self._row_group[rows]
+        comb = grp >= 0
+        rows, grp = rows[comb], grp[comb]
+        if not len(rows):
+            return []
+        pos = self._row_pos[rows]
+        order = _np.lexsort((pos, grp))
+        grp, pos = grp[order], pos[order]
+        starts = _np.flatnonzero(
+            _np.concatenate(([True], grp[1:] != grp[:-1]))
+        )
+        levels: list[tuple[int, list]] = []
+        for g, sel in zip(grp[starts].tolist(),
+                          _np.split(pos, starts[1:])):
+            instr = self.program[g]
+            op, dst, a, b, c = instr
+            if len(sel) < len(dst):
+                instr = (op, dst[sel], a[sel],
+                         b[sel] if b is not None else None,
+                         c[sel] if c is not None else None)
+            lvl = self._group_level[g]
+            if not levels or levels[-1][0] != lvl:
+                levels.append((lvl, []))
+            levels[-1][1].append(instr)
+        return levels
+
+    def _observed(self, rows):
+        """``(output rows, scan-DFF positions)`` that lie in ``rows``,
+        in output-list and position order."""
+        member = _np.zeros(self.n_gates, dtype=bool)
+        member[_np.fromiter(rows, dtype=_np.int64, count=len(rows))] = True
+        return (self.output_rows[member[self.output_rows]],
+                self.scan_pos[member[self.dff_rows[self.scan_pos]]])
+
     def cone(self, site: int) -> _Cone:
-        """The compiled fanout closure of gate row ``site`` (cached)."""
+        """The single-capture-cycle fanout closure of gate row ``site``
+        (cached).
+
+        It stops at every flip-flop: within one cycle a flip-flop's
+        output is present state the fault cannot change, so a reached
+        flip-flop only observes (captures) the fault.  A flip-flop site
+        still expands, since the fault forces its output.
+        """
         c = self._cones.get(site)
         if c is not None:
             return c
-        seen = {site}
-        stack = [site]
-        while stack:
-            i = stack.pop()
-            for k in self._consumers[i]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-        program: list[tuple] = []
-        touched: list[int] = []
-        for op, dst, a, b, c_ in self.program:
-            keep = [j for j, row in enumerate(dst)
-                    if int(row) in seen and int(row) != site]
-            if not keep:
-                continue
-            sel = _np.array(keep, dtype=_np.int64)
-            program.append((
-                op, dst[sel], a[sel],
-                b[sel] if b is not None else None,
-                c_[sel] if c_ is not None else None,
-            ))
-            touched.extend(int(r) for r in dst[sel])
-        obs_out = _np.array(
-            [r for r in self.output_rows if int(r) in seen],
-            dtype=_np.int64,
-        )
-        obs_scan = _np.array(
-            [pos for pos in self.scan_pos if int(self.dff_rows[pos]) in seen],
-            dtype=_np.int64,
+        seen = self._closure((site,), FF_ANY)
+        program = [
+            instr
+            for _lvl, instrs in self._kept_levels(seen - {site})
+            for instr in instrs
+        ]
+        touched = (_np.sort(_np.concatenate([i[1] for i in program]))
+                   if program else _np.zeros(0, dtype=_np.int64))
+        obs_out, obs_scan = self._observed(seen)
+        site_obs = _np.flatnonzero(
+            obs_scan == self.dff_pos.get(site, -1)
         )
         cone = _Cone(
-            site, program,
-            _np.array(sorted(set(touched)), dtype=_np.int64),
-            obs_out, obs_scan, self.dff_pos.get(site),
+            site, program, touched, obs_out, obs_scan,
+            self.dff_d_rows[obs_scan],
+            int(site_obs[0]) if len(site_obs) else None,
         )
         self._cones[site] = cone
         return cone
 
-    def _faulty_cycle(self, VS, cone: _Cone, state_words, forced_words,
-                      mask):
+    def _faulty_cycle(self, VS, cone: _Cone, forced_words, mask) -> None:
         """Evaluate the faulty machine into scratch ``VS``.
 
-        ``VS`` must hold the good-machine values on entry; only the
-        cone's gates (plus DFF source rows and the site) are rewritten.
-        Returns the faulty next-state matrix.  Call :meth:`_restore`
-        before reusing ``VS`` as good values.
+        ``VS`` must hold this cycle's good-machine values on entry
+        (present state included); only the site and the cone's gates
+        are rewritten.  Call :meth:`_restore` before reusing ``VS`` as
+        good values.
         """
-        if len(self.dff_rows):
-            VS[self.dff_rows] = state_words
         VS[cone.site] = forced_words
         self._run_program(VS, cone.program, mask)
-        nxt = VS[self.dff_d_rows].copy() if len(self.dff_rows) else (
-            _np.zeros((0, VS.shape[1]), dtype=_np.uint64)
-        )
-        if cone.site_dff_pos is not None:
-            nxt[cone.site_dff_pos] = forced_words
-        return nxt
 
     def _restore(self, VS, VG, cone: _Cone) -> None:
-        if len(self.dff_rows):
-            VS[self.dff_rows] = VG[self.dff_rows]
         if len(cone.touched):
             VS[cone.touched] = VG[cone.touched]
         VS[cone.site] = VG[cone.site]
 
-    def diff_words(self, VS, VG, bnxt, gnxt, cone: _Cone):
-        """Packed mask of patterns where the fault is observable."""
+    def diff_words(self, VS, VG, gnxt, cone: _Cone, forced_words):
+        """Packed mask of patterns where the fault is observable: at an
+        output, or in a scan flip-flop's captured state (a fault on the
+        flip-flop itself captures its stuck value)."""
         nw = VS.shape[1]
         diff = _np.zeros(nw, dtype=_np.uint64)
         if len(cone.obs_out):
@@ -427,8 +517,11 @@ class CompiledNetlist:
                 VS[cone.obs_out] ^ VG[cone.obs_out], axis=0
             )
         if len(cone.obs_scan):
+            bnxt = VS[cone.obs_d]
+            if cone.site_obs is not None:
+                bnxt[cone.site_obs] = forced_words
             diff |= _np.bitwise_or.reduce(
-                bnxt[cone.obs_scan] ^ gnxt[cone.obs_scan], axis=0
+                bnxt ^ gnxt[cone.obs_scan], axis=0
             )
         return diff
 
@@ -710,8 +803,8 @@ class CompiledNetlist:
                 continue
             forced_words = zero if f.stuck_at == 0 else mask
             cone = self.cone(site)
-            bnxt = self._faulty_cycle(VS, cone, sw, forced_words, mask)
-            diff = self.diff_words(VS, VG, bnxt, gnxt, cone)
+            self._faulty_cycle(VS, cone, forced_words, mask)
+            diff = self.diff_words(VS, VG, gnxt, cone, forced_words)
             self._restore(VS, VG, cone)
             out[f] = self.int_from_words(diff)
         return out
@@ -719,10 +812,22 @@ class CompiledNetlist:
     # ------------------------------------------------------------------
     # fault simulation
 
+    def _batch_span(self, sites: Sequence[int]) -> tuple[slice, slice]:
+        """Gate rows and DFF positions the cones of ``sites`` can reach:
+        the whole design (a fused program narrows it to member blocks)."""
+        return slice(0, self.n_gates), slice(0, len(self.dff_rows))
+
     def _make_batch(self, faults: Sequence[Fault], width: int, init,
                     mask) -> _FaultBatch:
         """Compile one fault block batch: union-of-cones program plus
-        per-fault forcing/observation bookkeeping."""
+        per-fault forcing/observation bookkeeping.
+
+        The union stops at scan flip-flops other than the batch's own
+        sites -- :meth:`_batch_cycle` reloads those from the good
+        machine every cycle, so no fault effect leaves through them --
+        and crosses non-scan flip-flops, whose faulty state carries
+        into the next cycle.
+        """
         nw = _n_words(width)
         sites = [self.index[f.net] for f in faults]
         forced = [
@@ -730,14 +835,7 @@ class CompiledNetlist:
             else mask.copy()
             for f in faults
         ]
-        seen = set(sites)
-        stack = list(sites)
-        while stack:
-            i = stack.pop()
-            for k in self._consumers[i]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
+        seen = self._closure(sites, FF_SCAN)
         # Site re-forcings, keyed by the level whose evaluation would
         # overwrite them (source-row sites are never overwritten).
         fix_by_level: dict[int, list[tuple[int, int]]] = {}
@@ -746,58 +844,37 @@ class CompiledNetlist:
                 fix_by_level.setdefault(int(self.level[site]), []).append(
                     (site, blk)
                 )
-        levels: list[tuple[list, tuple]] = []
-        cur_lvl: int | None = None
-        cur: list[tuple] = []
-        for op, dst, a, b, c in self.program:
-            kept = [j for j, row in enumerate(dst) if int(row) in seen]
-            if not kept:
-                continue
-            lvl = int(self.level[dst[0]])
-            if lvl != cur_lvl:
-                if cur:
-                    levels.append((cur, tuple(fix_by_level.get(cur_lvl, ()))))
-                cur_lvl, cur = lvl, []
-            if len(kept) == len(dst):
-                cur.append((op, dst, a, b, c))
-            else:
-                sel = _np.array(kept, dtype=_np.int64)
-                cur.append((
-                    op, dst[sel], a[sel],
-                    b[sel] if b is not None else None,
-                    c[sel] if c is not None else None,
-                ))
-        if cur:
-            levels.append((cur, tuple(fix_by_level.get(cur_lvl, ()))))
-        obs_out = _np.array(
-            [r for r in self.output_rows if int(r) in seen],
-            dtype=_np.int64,
-        )
-        obs_scan = _np.array(
-            [pos for pos in self.scan_pos
-             if int(self.dff_rows[pos]) in seen],
-            dtype=_np.int64,
-        )
+        levels = [
+            (instrs, tuple(fix_by_level.get(lvl, ())))
+            for lvl, instrs in self._kept_levels(seen)
+        ]
+        obs_out, obs_scan = self._observed(seen)
+        rows, pos = self._batch_span(sites)
+        # Scan reload only matters for state rows that can be observed
+        # or re-read -- both in-span -- so clip the keep lists to it.
+        sp = self.scan_pos
+        sp = sp[(sp >= pos.start) & (sp < pos.stop)]
         site_dff = [self.dff_pos.get(site) for site in sites]
-        keep = []
-        for pos in site_dff:
-            if len(self.scan_pos) and pos is not None:
-                keep.append(self.scan_pos[self.scan_pos != pos])
-            else:
-                keep.append(self.scan_pos)
+        keep = [sp if p is None else sp[sp != p] for p in site_dff]
         state = _np.tile(init, (1, len(faults))) if len(self.dff_rows) \
             else _np.zeros((0, len(faults) * nw), dtype=_np.uint64)
         return _FaultBatch(list(faults), sites, forced, site_dff, keep,
-                           levels, obs_out, obs_scan, state)
+                           levels, obs_out, obs_scan, state, rows, pos)
 
     def _batch_cycle(self, batch: _FaultBatch, VS, mask_b, VG, gnxt,
                      nw: int, width: int, cycle: int,
                      detected: dict) -> None:
-        """One clock edge for every live fault block in ``batch``."""
+        """One clock edge for every live fault block in ``batch``.
+
+        Scratch refresh and state propagation touch only the batch's
+        span; rows outside it hold stale scratch, which the batch's
+        cone program neither reads nor observes.
+        """
         B = batch.size
-        VS.reshape(self.n_gates, B, nw)[:] = VG[:, None, :]
-        if len(self.dff_rows):
-            VS[self.dff_rows] = batch.state
+        rows, pos = batch.rows, batch.pos
+        VS.reshape(self.n_gates, B, nw)[rows] = VG[rows, None, :]
+        if pos.stop > pos.start:
+            VS[self.dff_rows[pos]] = batch.state[pos]
         for blk in range(B):
             if batch.alive[blk]:
                 VS[batch.sites[blk],
@@ -807,10 +884,7 @@ class CompiledNetlist:
             for site, blk in fixes:
                 if batch.alive[blk]:
                     VS[site, blk * nw:(blk + 1) * nw] = batch.forced[blk]
-        if len(self.dff_rows):
-            bnxt = VS[self.dff_d_rows].copy()
-        else:
-            bnxt = _np.zeros((0, B * nw), dtype=_np.uint64)
+        bnxt = VS[self.dff_d_rows]
         for blk in range(B):
             if batch.alive[blk] and batch.site_dff[blk] is not None:
                 bnxt[batch.site_dff[blk],
@@ -838,7 +912,7 @@ class CompiledNetlist:
             # except a scan FF carrying the fault itself.
             if len(batch.keep[blk]):
                 bnxt[batch.keep[blk], sl] = gnxt[batch.keep[blk]]
-            batch.state[:, sl] = bnxt[:, sl]
+            batch.state[pos, sl] = bnxt[pos, sl]
 
     def fault_simulate_cycles(
         self,
@@ -1061,8 +1135,8 @@ def transition_pair_detect(
             continue
         cone = k.cone(site)
         faulty_value = (after & ~slow) | (before & slow)
-        bnxt = k._faulty_cycle(VS, cone, gs1, faulty_value, mask)
-        diff = k.diff_words(VS, VG2, bnxt, gs2, cone) & slow
+        k._faulty_cycle(VS, cone, faulty_value, mask)
+        diff = k.diff_words(VS, VG2, gs2, cone, faulty_value) & slow
         k._restore(VS, VG2, cone)
         out[(net, rising)] = k.int_from_words(diff)
     return out
