@@ -209,9 +209,8 @@ class FusedProgram:
         # The kernel's row -> (merged group, position) map, so batch
         # compiles gather kept instructions without visiting the
         # (mostly empty) merged groups one by one.
-        self._row_group, self._row_pos, self._group_level = _group_index(
-            self.program, self.level
-        )
+        (self.program, self._row_flat, self._flat_group, self._flat,
+         self._group_level) = _group_index(self.program, self.level)
 
         consumers: list[list[int]] = []
         for comp, ofs in zip(self.members, offsets):
@@ -299,7 +298,7 @@ def _borrow_kernel_methods() -> None:
         "_faulty_cycle", "_restore", "diff_words", "simulate",
         "state_checkpoints", "_level_program", "sequential_fault_detect",
         "_seq_fault_batch", "detect_masks", "_make_batch", "_batch_cycle",
-        "fault_simulate_cycles",
+        "_repack", "fault_simulate_cycles",
     ):
         setattr(FusedProgram, name, CompiledNetlist.__dict__[name])
 

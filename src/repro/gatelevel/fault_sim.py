@@ -21,6 +21,7 @@ processes; the merged result is byte-identical to a serial run.
 from __future__ import annotations
 
 import time
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from repro.flow.metrics import record_metric
@@ -195,6 +196,24 @@ def _record_pps(pattern_cycles: int, seconds: float, shard: int | None = None) -
 # ---------------------------------------------------------------------------
 # fault-parallel sharding
 
+def _deal_faults(netlist: Netlist, faults: Sequence[Fault],
+                 shards: int) -> list[list[Fault]]:
+    """``faults`` dealt round-robin to ``shards`` in topological-row
+    order: shard *i* gets every ``shards``-th fault from the *i*-th.
+
+    A fault's cost follows the part of the design its cone covers, so
+    dealing gives every shard an even share of each part, where
+    contiguous chunks of the caller's list can differ in cost.  Faults
+    on unknown nets sort first.  Without the kernel (no numpy) only the
+    stuck values order the deal; any partition is exact.
+    """
+    from repro.gatelevel import kernel
+
+    index = kernel.compiled(netlist).index if kernel.have_kernel() else {}
+    ranked = sorted(faults, key=lambda f: (index.get(f.net, -1), f.stuck_at))
+    return [ranked[i::shards] for i in range(shards)]
+
+
 def _encode_fault_block(netlist: Netlist, faults: Sequence[Fault]):
     """Faults as an ``(n, 2)`` int64 array of (topo row, stuck value).
 
@@ -206,7 +225,9 @@ def _encode_fault_block(netlist: Netlist, faults: Sequence[Fault]):
     """
     import numpy as np
 
-    index = {name: i for i, name in enumerate(netlist.topo_order())}
+    from repro.gatelevel.kernel import compiled
+
+    index = compiled(netlist).index
     arr = np.empty((len(faults), 2), dtype=np.int64)
     extras: dict[int, Fault] = {}
     for pos, f in enumerate(faults):
@@ -310,10 +331,11 @@ def _fault_simulate_sharded(
 ) -> dict[Fault, int | None]:
     """Split the fault list across worker processes; deterministic merge.
 
-    Faults are partitioned into contiguous chunks (fault independence
-    makes any partition exact, contiguity keeps each shard's locality);
-    the merged dict is rebuilt in the caller's fault order, so a sharded
-    run is byte-identical to a serial one.
+    Faults are dealt round-robin in topological-row order
+    (:func:`_deal_faults`; fault independence makes any partition
+    exact, and dealing evens out the shards' cost); the merged dict is
+    rebuilt in the caller's fault order, so a sharded run is
+    byte-identical to a serial one.
 
     Payloads travel over the transport picked by
     :func:`repro.flow.shm.resolve_transport` (``REPRO_SHARD_TRANSPORT``):
@@ -341,8 +363,8 @@ def _fault_simulate_sharded(
             initial_state=initial_state, drop_detected=drop_detected,
             backend=backend, shards=1, collapse=False,
         )
-    bounds = [round(i * len(faults) / shards) for i in range(shards + 1)]
-    chunks = [list(faults[bounds[i]:bounds[i + 1]]) for i in range(shards)]
+    chunks = _deal_faults(netlist, faults, shards)
+    bounds = [0, *accumulate(map(len, chunks))]
     state = dict(initial_state) if initial_state else None
     transport = shm.resolve_transport()
     digest, blob = kernel.netlist_blob(netlist)
@@ -352,7 +374,9 @@ def _fault_simulate_sharded(
             net_ref = plane.publish_object(None, blob=blob,
                                            digest=digest)
             if kernel.have_kernel():
-                arr, extras = _encode_fault_block(netlist, list(faults))
+                arr, extras = _encode_fault_block(
+                    netlist, [f for chunk in chunks for f in chunk]
+                )
                 fh = plane.publish_array(arr)
                 blocks = [
                     (fh, bounds[i], bounds[i + 1],

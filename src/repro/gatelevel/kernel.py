@@ -25,15 +25,21 @@ integer-indexed program and evaluates it over numpy ``uint64`` words:
   cycle, and still cross non-scan flip-flops.  Both closures gather
   their kept instructions through one compile-time row -> (group,
   position) map, so building a cone costs its size, not the program's.
-* **Fault-batched blocks** — fault simulation packs ``FAULT_BATCH``
-  faulty machines side by side along the word axis (fault *b* owns
-  columns ``b*n_words:(b+1)*n_words``) and evaluates the *union* of
-  their cones in one pass, re-forcing each site inside its own block
-  when its level completes.  Blocks are column-disjoint, and a row
-  outside fault *b*'s cone recomputes to good-machine values in block
-  *b* (its inputs are good there), so per-block detection against the
-  union's observation rows is exact.  This amortises the per-call numpy
-  overhead that would otherwise dominate on per-fault-sized arrays.
+* **Fault-batched blocks** — fault simulation packs faulty machines
+  side by side along the word axis (fault *b* owns columns
+  ``b*n_words:(b+1)*n_words``) and evaluates the *union* of their cones
+  in one pass, re-forcing each site inside its own block when its level
+  completes.  Blocks are column-disjoint, and a row outside fault *b*'s
+  cone recomputes to good-machine values in block *b* (its inputs are
+  good there), so per-block detection against the union's observation
+  rows is exact.  A batch holds as many faults as fit
+  :data:`BATCH_SCRATCH_WORDS` of scratch (never fewer than
+  :data:`FAULT_BATCH`), and once detection has thinned the live columns
+  to :data:`REPACK_LIVE_SHARE` of those held, the survivors are rebuilt
+  into fresh batches, each carrying its faulty state.  Both keep each
+  numpy call wide, amortising the per-call overhead that would
+  otherwise dominate on per-fault-sized arrays (see
+  ``docs/fault_batches.md``).
 
 Results are bit-identical to the interpreter (property-tested in
 ``tests/test_kernel_equivalence.py``): stuck-at forcing applies after a
@@ -84,8 +90,17 @@ def _n_words(width: int) -> int:
     return (width + 63) // 64
 
 
-#: faulty machines evaluated side by side per batched pass
+#: the fewest faulty machines a batched pass evaluates side by side
 FAULT_BATCH = 32
+
+#: ``uint64`` words of ``(n_gates, B * n_words)`` scratch that size a
+#: fault batch (1 MiB): a small design gets batches wider than
+#: :data:`FAULT_BATCH`, a large one stays at it
+BATCH_SCRATCH_WORDS = 1 << 17
+
+#: survivors are repacked at a cycle boundary once the live fault
+#: columns have fallen to this share of the columns the batches hold
+REPACK_LIVE_SHARE = 0.5
 
 #: packed columns per fault-parallel *sequential* pass (column 0 is the
 #: golden machine, so each pass carries ``SEQ_FAULT_COLUMNS - 1`` faults)
@@ -98,33 +113,37 @@ FF_ANY, FF_SCAN = 1, 2
 
 
 class _FaultBatch:
-    """Up to :data:`FAULT_BATCH` faulty machines sharing one pass.
+    """Faulty machines sharing one pass over a ``(n_gates, size*nw)``
+    scratch view, fault *b* in word columns ``b*nw:(b+1)*nw``.
 
-    Fault *b* owns word columns ``b*nw:(b+1)*nw``; ``levels`` is the
-    union-of-cones program grouped by level, each with the site
-    re-forcings to apply in their blocks once that level completes.
-    ``rows`` and ``pos`` bound the gate rows and DFF positions the
-    batch's cones live in (the whole design for a plain kernel; one
-    run of member blocks in a fused program).
+    ``levels`` is the union-of-cones program grouped by level.  A
+    forcing is a pair ``(flat indices, words)`` that writes each fault's
+    stuck words into its own columns of a C-ordered array with rows
+    ``size*nw`` words wide: ``force`` writes every site into the scratch
+    before the program runs, each level carries the forcing of the
+    sites it evaluates (or None), and ``force_state`` writes the next
+    state of flip-flop sites.  ``rows`` and ``pos`` bound the gate rows
+    and DFF positions the batch's cones live in (the whole design for a
+    plain kernel; one run of member blocks in a fused program), and
+    ``state`` holds the faulty present state of ``pos`` only.
     """
 
-    __slots__ = ("faults", "sites", "forced", "site_dff", "keep",
-                 "levels", "obs_out", "obs_scan", "state", "alive",
-                 "size", "rows", "pos")
+    __slots__ = ("faults", "size", "alive", "levels", "force",
+                 "force_state", "obs_out", "obs_scan", "scan", "state",
+                 "rows", "pos")
 
-    def __init__(self, faults, sites, forced, site_dff, keep, levels,
-                 obs_out, obs_scan, state, rows, pos) -> None:
+    def __init__(self, faults, levels, force, force_state, obs_out,
+                 obs_scan, scan, state, rows, pos) -> None:
         self.faults = faults
-        self.sites = sites
-        self.forced = forced          # per fault: word vector to force
-        self.site_dff = site_dff      # per fault: DFF pos of site, or None
-        self.keep = keep              # per fault: scan rows reloading good
-        self.levels = levels          # [(instructions, site fixes)]
+        self.size = len(faults)
+        self.alive = _np.ones(self.size, dtype=bool)
+        self.levels = levels          # [(instructions, forcing or None)]
+        self.force = force            # every site, into the scratch
+        self.force_state = force_state  # flip-flop sites, into bnxt
         self.obs_out = obs_out        # union observation: output rows
         self.obs_scan = obs_scan      # union observation: scan DFF pos
-        self.state = state            # (n_dffs, size*nw) faulty states
-        self.alive = [True] * len(faults)
-        self.size = len(faults)
+        self.scan = scan              # scan DFF positions in span
+        self.state = state            # (len(pos), size*nw) faulty state
         self.rows = rows              # slice of gate rows in span
         self.pos = pos                # slice of DFF positions in span
 
@@ -147,18 +166,39 @@ class _Cone:
 
 
 def _group_index(program: Sequence[tuple], level):
-    """Row -> (group, position within it) for a levelized ``program``,
-    plus each group's level: the compile-time map
+    """A levelized ``program`` stored once, with the compile-time map
     :meth:`CompiledNetlist._kept_levels` gathers kept instructions by.
-    Rows outside every group (sources) map to group -1."""
-    row_group = _np.full(len(level), -1, dtype=_np.int32)
-    row_pos = _np.zeros(len(level), dtype=_np.int32)
-    group_level: list[int] = []
-    for g, (_op, dst, _a, _b, _c) in enumerate(program):
-        row_group[dst] = g
-        row_pos[dst] = _np.arange(len(dst))
-        group_level.append(int(level[dst[0]]))
-    return row_group, row_pos, group_level
+
+    Returns ``(program, row_flat, flat_group, flat, group_level)``:
+    ``flat`` is the ``(dst, a, b, c)`` operand arrays concatenated group
+    after group (0 where a group has no such operand), and the returned
+    program's operands are views into it.  ``row_flat`` is each row's
+    position in ``flat`` (-1 for sources, which no group writes),
+    ``flat_group`` each position's group and ``group_level`` each
+    group's level.
+    """
+    sizes = [len(instr[1]) for instr in program]
+    flat = tuple(
+        _np.concatenate([
+            instr[k] if instr[k] is not None
+            else _np.zeros(len(instr[1]), dtype=_np.int64)
+            for instr in program
+        ]) if program else _np.zeros(0, dtype=_np.int64)
+        for k in (1, 2, 3, 4)
+    )
+    d, a, b, c = flat
+    program = [
+        (op, d[e - n:e], a[e - n:e],
+         b[e - n:e] if b_ is not None else None,
+         c[e - n:e] if c_ is not None else None)
+        for (op, _d, _a, b_, c_), n, e in zip(
+            program, sizes, _np.cumsum(sizes, dtype=_np.int64).tolist())
+    ]
+    row_flat = _np.full(len(level), -1, dtype=_np.int64)
+    row_flat[flat[0]] = _np.arange(len(flat[0]))
+    flat_group = _np.repeat(_np.arange(len(program), dtype=_np.int32), sizes)
+    group_level = [int(level[instr[1][0]]) for instr in program]
+    return program, row_flat, flat_group, flat, group_level
 
 
 class CompiledNetlist:
@@ -238,9 +278,8 @@ class CompiledNetlist:
             b = fanin[dst, 1] if op >= OP_AND else None
             c = fanin[dst, 2] if op == OP_MUX else None
             self.program.append((op, dst, a, b, c))
-        self._row_group, self._row_pos, self._group_level = _group_index(
-            self.program, level
-        )
+        (self.program, self._row_flat, self._flat_group, self._flat,
+         self._group_level) = _group_index(self.program, level)
 
         # Fanout adjacency (a DFF "consumes" its D input, which folds
         # the cross-cycle edge D -> state into the closure), and each
@@ -419,31 +458,29 @@ class CompiledNetlist:
         """:attr:`program` restricted to the gates in ``rows``, as
         ``[(level, [instructions])]`` in program order.
 
-        Each row's group and position come from the compile-time map,
-        so the cost follows ``len(rows)``, not the program; a group
-        kept whole is reused as is.
+        Each row's position in the concatenated program comes from the
+        compile-time map, so one sort and one gather per operand cut
+        every kept instruction at once; the cost follows ``len(rows)``,
+        not the program.  A group kept whole is reused as is.
         """
-        rows = _np.fromiter(rows, dtype=_np.int64, count=len(rows))
-        grp = self._row_group[rows]
-        comb = grp >= 0
-        rows, grp = rows[comb], grp[comb]
-        if not len(rows):
+        at = self._row_flat[
+            _np.fromiter(rows, dtype=_np.int64, count=len(rows))
+        ]
+        at = _np.sort(at[at >= 0])
+        if not len(at):
             return []
-        pos = self._row_pos[rows]
-        order = _np.lexsort((pos, grp))
-        grp, pos = grp[order], pos[order]
-        starts = _np.flatnonzero(
-            _np.concatenate(([True], grp[1:] != grp[:-1]))
-        )
+        grp = self._flat_group[at]
+        cut = (_np.flatnonzero(grp[1:] != grp[:-1]) + 1).tolist()
+        dst, a, b, c = (arr[at] for arr in self._flat)
         levels: list[tuple[int, list]] = []
-        for g, sel in zip(grp[starts].tolist(),
-                          _np.split(pos, starts[1:])):
+        for g, s, e in zip(grp[[0] + cut].tolist(), [0] + cut,
+                           cut + [len(at)]):
             instr = self.program[g]
-            op, dst, a, b, c = instr
-            if len(sel) < len(dst):
-                instr = (op, dst[sel], a[sel],
-                         b[sel] if b is not None else None,
-                         c[sel] if c is not None else None)
+            op = instr[0]
+            if e - s < len(instr[1]):
+                instr = (op, dst[s:e], a[s:e],
+                         b[s:e] if op >= OP_AND else None,
+                         c[s:e] if op == OP_MUX else None)
             lvl = self._group_level[g]
             if not levels or levels[-1][0] != lvl:
                 levels.append((lvl, []))
@@ -817,10 +854,13 @@ class CompiledNetlist:
         the whole design (a fused program narrows it to member blocks)."""
         return slice(0, self.n_gates), slice(0, len(self.dff_rows))
 
-    def _make_batch(self, faults: Sequence[Fault], width: int, init,
+    def _make_batch(self, faults: Sequence[Fault], width: int, state,
                     mask) -> _FaultBatch:
-        """Compile one fault block batch: union-of-cones program plus
+        """Compile one fault batch: union-of-cones program plus
         per-fault forcing/observation bookkeeping.
+
+        ``state`` is the faults' present state: ``(n_dffs, n_words)``
+        shared by every fault, or one ``n_words`` column block each.
 
         The union stops at scan flip-flops other than the batch's own
         sites -- :meth:`_batch_cycle` reloads those from the good
@@ -829,90 +869,123 @@ class CompiledNetlist:
         into the next cycle.
         """
         nw = _n_words(width)
+        size = len(faults)
         sites = [self.index[f.net] for f in faults]
-        forced = [
-            _np.zeros(nw, dtype=_np.uint64) if f.stuck_at == 0
-            else mask.copy()
-            for f in faults
-        ]
         seen = self._closure(sites, FF_SCAN)
+        rows, pos = self._batch_span(sites)
+        # Fault b's forced words, and where they go in a row of the
+        # (., size*nw) batch arrays: columns b*nw .. b*nw + nw - 1.
+        words = _np.array([f.stuck_at for f in faults],
+                          dtype=_np.uint64)[:, None] * mask
+        cols = _np.arange(size * nw).reshape(size, nw)
+        at = _np.array(sites, dtype=_np.int64)[:, None] * (size * nw) + cols
         # Site re-forcings, keyed by the level whose evaluation would
         # overwrite them (source-row sites are never overwritten).
-        fix_by_level: dict[int, list[tuple[int, int]]] = {}
+        by_level: dict[int, list[int]] = {}
+        dff_blocks: list[int] = []
         for blk, site in enumerate(sites):
-            if int(self.opcode[site]) >= OP_BUF:
-                fix_by_level.setdefault(int(self.level[site]), []).append(
-                    (site, blk)
-                )
-        levels = [
-            (instrs, tuple(fix_by_level.get(lvl, ())))
-            for lvl, instrs in self._kept_levels(seen)
-        ]
+            if self.opcode[site] >= OP_BUF:
+                by_level.setdefault(int(self.level[site]), []).append(blk)
+            elif site in self.dff_pos:
+                dff_blocks.append(blk)
+        fixes = {lvl: (at[blks].ravel(), words[blks].ravel())
+                 for lvl, blks in by_level.items()}
+        levels = [(instrs, fixes.get(lvl))
+                  for lvl, instrs in self._kept_levels(seen)]
         obs_out, obs_scan = self._observed(seen)
-        rows, pos = self._batch_span(sites)
+        # A flip-flop site captures its stuck value as next state.
+        at_state = _np.array(
+            [self.dff_pos[sites[blk]] - pos.start for blk in dff_blocks],
+            dtype=_np.int64,
+        )[:, None] * (size * nw) + cols[dff_blocks]
         # Scan reload only matters for state rows that can be observed
-        # or re-read -- both in-span -- so clip the keep lists to it.
+        # or re-read -- both in-span -- so clip it to the span.
         sp = self.scan_pos
-        sp = sp[(sp >= pos.start) & (sp < pos.stop)]
-        site_dff = [self.dff_pos.get(site) for site in sites]
-        keep = [sp if p is None else sp[sp != p] for p in site_dff]
-        state = _np.tile(init, (1, len(faults))) if len(self.dff_rows) \
-            else _np.zeros((0, len(faults) * nw), dtype=_np.uint64)
-        return _FaultBatch(list(faults), sites, forced, site_dff, keep,
-                           levels, obs_out, obs_scan, state, rows, pos)
+        scan = sp[(sp >= pos.start) & (sp < pos.stop)]
+        npos = pos.stop - pos.start
+        state = _np.broadcast_to(
+            state[pos].reshape(npos, state.shape[1] // nw, nw),
+            (npos, size, nw),
+        ).reshape(npos, size * nw)
+        return _FaultBatch(
+            list(faults), levels, (at.ravel(), words.ravel()),
+            (at_state.ravel(), words[dff_blocks].ravel()), obs_out,
+            obs_scan, scan, state, rows, pos,
+        )
 
     def _batch_cycle(self, batch: _FaultBatch, VS, mask_b, VG, gnxt,
                      nw: int, width: int, cycle: int,
                      detected: dict) -> None:
-        """One clock edge for every live fault block in ``batch``.
+        """One clock edge for every fault block in ``batch``, as
+        whole-batch numpy operations; detected faults land in
+        ``detected`` and leave ``batch.alive``.
 
-        Scratch refresh and state propagation touch only the batch's
-        span; rows outside it hold stale scratch, which the batch's
-        cone program neither reads nor observes.
+        A detected block still evaluates until the batch is repacked or
+        dies, but nothing reads its columns again.  Scratch refresh and
+        state propagation touch only the batch's span; rows outside it
+        hold stale scratch, which the batch's cone program neither
+        reads nor observes.
         """
         B = batch.size
         rows, pos = batch.rows, batch.pos
         VS.reshape(self.n_gates, B, nw)[rows] = VG[rows, None, :]
         if pos.stop > pos.start:
-            VS[self.dff_rows[pos]] = batch.state[pos]
-        for blk in range(B):
-            if batch.alive[blk]:
-                VS[batch.sites[blk],
-                   blk * nw:(blk + 1) * nw] = batch.forced[blk]
-        for instrs, fixes in batch.levels:
+            VS[self.dff_rows[pos]] = batch.state
+        flat = VS.reshape(-1)
+        flat[batch.force[0]] = batch.force[1]
+        for instrs, fix in batch.levels:
             self._run_program(VS, instrs, mask_b)
-            for site, blk in fixes:
-                if batch.alive[blk]:
-                    VS[site, blk * nw:(blk + 1) * nw] = batch.forced[blk]
-        bnxt = VS[self.dff_d_rows]
-        for blk in range(B):
-            if batch.alive[blk] and batch.site_dff[blk] is not None:
-                bnxt[batch.site_dff[blk],
-                     blk * nw:(blk + 1) * nw] = batch.forced[blk]
-        good_out = VG[batch.obs_out] if len(batch.obs_out) else None
-        good_scan = gnxt[batch.obs_scan] if len(batch.obs_scan) else None
-        for blk, fault in enumerate(batch.faults):
-            if not batch.alive[blk]:
-                continue
-            sl = slice(blk * nw, (blk + 1) * nw)
-            self._pattern_cycles += width
-            hit = (
-                good_out is not None
-                and not _np.array_equal(VS[batch.obs_out, sl], good_out)
-            ) or (
-                good_scan is not None
-                and not _np.array_equal(bnxt[batch.obs_scan, sl],
-                                        good_scan)
-            )
-            if hit:
-                detected[fault] = cycle
-                batch.alive[blk] = False
-                continue
-            # Scan reload: scanned state follows the good machine,
-            # except a scan FF carrying the fault itself.
-            if len(batch.keep[blk]):
-                bnxt[batch.keep[blk], sl] = gnxt[batch.keep[blk]]
-            batch.state[pos, sl] = bnxt[pos, sl]
+            if fix is not None:
+                flat[fix[0]] = fix[1]
+        bnxt = VS[self.dff_d_rows[pos]]
+        bnxt.reshape(-1)[batch.force_state[0]] = batch.force_state[1]
+        hit = _np.zeros(B, dtype=bool)
+        if len(batch.obs_out):
+            hit |= (VS[batch.obs_out].reshape(-1, B, nw)
+                    != VG[batch.obs_out, None, :]).any(axis=(0, 2))
+        if len(batch.obs_scan):
+            hit |= (bnxt[batch.obs_scan - pos.start].reshape(-1, B, nw)
+                    != gnxt[batch.obs_scan, None, :]).any(axis=(0, 2))
+        alive = batch.alive
+        self._pattern_cycles += width * int(_np.count_nonzero(alive))
+        hit &= alive
+        for blk in _np.flatnonzero(hit).tolist():
+            detected[batch.faults[blk]] = cycle
+        alive &= ~hit
+        # Scan reload: scanned state follows the good machine.  A scan FF
+        # carrying the fault itself needs no exception: a site is forced
+        # again right after state loads, so its stored state is unread.
+        if len(batch.scan):
+            bnxt.reshape(-1, B, nw)[batch.scan - pos.start] = \
+                gnxt[batch.scan, None, :]
+        batch.state = bnxt
+
+    def _repack(self, batches: Sequence[_FaultBatch], good_state,
+                per: int, width: int, mask) -> list[_FaultBatch]:
+        """The live faults of ``batches`` rebuilt into batches of
+        ``per``, in site order, each carrying its faulty state.
+
+        A batch propagates state only inside its span, so outside it a
+        survivor's state is the good machine's (``good_state``), and
+        its own faulty state is laid over that inside the old span.
+        """
+        nw = _n_words(width)
+        faults: list[Fault] = []
+        states = []
+        for b in batches:
+            live = _np.flatnonzero(b.alive)
+            faults += [b.faults[i] for i in live.tolist()]
+            npos = b.pos.stop - b.pos.start
+            s = _np.tile(good_state, (1, len(live)))
+            s[b.pos] = b.state.reshape(npos, b.size, nw)[:, live].reshape(
+                npos, len(live) * nw)
+            states.append(s)
+        state = _np.concatenate(states, axis=1)
+        return [
+            self._make_batch(faults[i:i + per], width,
+                             state[:, i * nw:(i + per) * nw], mask)
+            for i in range(0, len(faults), per)
+        ]
 
     def fault_simulate_cycles(
         self,
@@ -954,30 +1027,36 @@ class CompiledNetlist:
         by_site = sorted(
             known, key=lambda f: (self.index[f.net], f.stuck_at)
         )
+        # As many faults per batch as fit the scratch budget; one
+        # buffer serves every batch, a narrower one as a leading view.
+        per = max(FAULT_BATCH, BATCH_SCRATCH_WORDS // (self.n_gates * nw))
+        widest = min(per, len(by_site)) * nw
+        scratch = _np.zeros(self.n_gates * widest, dtype=_np.uint64)
+        mask_b = _np.tile(mask, widest // nw)
         batches = [
-            self._make_batch(by_site[i:i + FAULT_BATCH], width, init,
-                             mask)
-            for i in range(0, len(by_site), FAULT_BATCH)
+            self._make_batch(by_site[i:i + per], width, init, mask)
+            for i in range(0, len(by_site), per)
         ]
-        scratch: dict[int, tuple] = {}  # per batch size: (VS, mask_b)
         good_state = init
         for cycle, pw in enumerate(pw_seq):
-            live = [b for b in batches if any(b.alive)]
-            if not live:
+            VG, good_state = self.good_cycle(pw, good_state, width)
+            for batch in batches:
+                cols = batch.size * nw
+                self._batch_cycle(
+                    batch,
+                    scratch[:self.n_gates * cols].reshape(self.n_gates,
+                                                          cols),
+                    mask_b[:cols], VG, good_state, nw, width, cycle,
+                    detected,
+                )
+            batches = [b for b in batches if b.alive.any()]
+            if not batches:
                 break
-            VG, gnxt = self.good_cycle(pw, good_state, width)
-            good_state = gnxt
-            for batch in live:
-                buf = scratch.get(batch.size)
-                if buf is None:
-                    buf = (
-                        _np.zeros((self.n_gates, batch.size * nw),
-                                  dtype=_np.uint64),
-                        _np.tile(mask, batch.size),
-                    )
-                    scratch[batch.size] = buf
-                self._batch_cycle(batch, buf[0], buf[1], VG, gnxt, nw,
-                                  width, cycle, detected)
+            live = sum(int(_np.count_nonzero(b.alive)) for b in batches)
+            if (cycle + 1 < len(pw_seq) and live
+                    <= REPACK_LIVE_SHARE * sum(b.size for b in batches)):
+                batches = self._repack(batches, good_state, per, width,
+                                       mask)
         return detected
 
 
