@@ -29,11 +29,13 @@ Lifecycle discipline
   still gets the segment reclaimed by the tracker (bpo-39959 is a
   spawn-separate-tracker problem this layout avoids).
 * **Graceful fallback**: :func:`resolve_transport` degrades to the
-  classic pickle path when shared memory is unavailable (no ``/dev/shm``,
+  pickle transport when shared memory is unavailable (no ``/dev/shm``,
   sealed sandbox) or when ``REPRO_SHARD_TRANSPORT=pickle`` forces it.
-  The resilience harness's in-process serial fallback works under both
-  transports -- the parent can attach its own segments -- so results
-  stay byte-identical no matter which path executed.
+  Pickle is an *inline mode* of the same plane, so workers read every
+  reference through one :func:`fetch`.  The resilience harness's
+  in-process serial fallback works under both transports -- the parent
+  can attach its own segments -- so results stay byte-identical no
+  matter which path executed.
 """
 
 from __future__ import annotations
@@ -160,6 +162,14 @@ class ObjectRef:
     handle: ShmHandle
 
 
+@dataclass(frozen=True, eq=False)
+class InlineRef:
+    """A payload carried in the shard argument itself (the pickle
+    transport): it is pickled into every argument that holds it."""
+
+    value: Any
+
+
 _LIVE_PLANES: "set[PayloadPlane]" = set()
 _ATEXIT_INSTALLED = False
 
@@ -176,12 +186,18 @@ class PayloadPlane:
     (and attachable, including by the in-process fallback) until every
     shard has finished, then are closed and unlinked even when a shard
     raises.
+
+    Under the ``pickle`` transport (:func:`resolve_transport`, read at
+    construction) the plane is *inline*: it creates no segment, and
+    :meth:`publish_object` / :meth:`publish_array` return an
+    :class:`InlineRef` holding the payload.
     """
 
     def __init__(self) -> None:
         self._segments: list[Any] = []
         self.total_bytes = 0
         self.closed = False
+        self.inline = resolve_transport() == "pickle"
         global _ATEXIT_INSTALLED
         if not _ATEXIT_INSTALLED:
             atexit.register(_atexit_close_planes)
@@ -205,8 +221,10 @@ class PayloadPlane:
         seg.buf[:len(payload)] = payload
         return ShmHandle(seg.name, len(payload), (), "")
 
-    def publish_array(self, arr) -> ShmHandle:
+    def publish_array(self, arr) -> ShmHandle | InlineRef:
         """Publish a C-contiguous numpy array; workers map it zero-copy."""
+        if self.inline:
+            return InlineRef(arr)
         arr = _np.ascontiguousarray(arr)
         seg = self._create(arr.nbytes)
         if arr.nbytes:
@@ -216,9 +234,12 @@ class PayloadPlane:
                          arr.dtype.str)
 
     def publish_object(self, obj: Any, blob: bytes | None = None,
-                       digest: str | None = None) -> ObjectRef:
+                       digest: str | None = None) -> ObjectRef | InlineRef:
         """Pickle ``obj`` into a segment; callers may pass a pre-pickled
-        ``blob`` (and its ``digest``) to reuse a memoised serialisation."""
+        ``blob`` (and its ``digest``) to reuse a memoised serialisation.
+        An inline plane ignores both and carries ``obj`` itself."""
+        if self.inline:
+            return InlineRef(obj)
         if blob is None:
             blob = pickle.dumps(obj, protocol=_PICKLE_PROTO)
         if digest is None:
@@ -328,6 +349,18 @@ def fetch_object(ref: ObjectRef) -> Any:
         while len(_OBJECTS) > limit:
             _OBJECTS.popitem(last=False)
     return obj
+
+
+def fetch(ref: Any) -> Any:
+    """The payload behind a reference from :meth:`PayloadPlane.publish_object`
+    or :meth:`PayloadPlane.publish_array`: an inline value, a
+    digest-cached object, or a zero-copy array view (valid while the
+    task runs, as for :func:`attach_array`)."""
+    if isinstance(ref, InlineRef):
+        return ref.value
+    if isinstance(ref, ObjectRef):
+        return fetch_object(ref)
+    return attach_array(ref)
 
 
 def worker_cache_stats() -> dict[str, int]:

@@ -564,22 +564,17 @@ def _fused_sim(group: Sequence[SimJob]) -> list[dict[Fault, int | None]]:
 
 def _batch_shard_worker(args):
     """One contiguous job chunk of a fused group, re-fused in-worker."""
-    shard_index, payload, refs = args
+    shard_index, jobs_ref, net_refs = args
     from repro.flow import chaos, shm
     from repro.gatelevel.kernel import resolve_netlist
 
     chaos.checkpoint(f"batch_shard:{shard_index}")
-    if refs is not None:
-        payload = shm.fetch_object(payload)
-    chunk = []
-    for digest, faults, seq, width, state, drop in payload:
-        ref = refs[digest] if refs is not None else None
-        netlist = resolve_netlist(
-            digest,
-            (lambda r=ref: shm.attach_bytes(r.handle)) if ref is not None
-            else None,
-        )
-        chunk.append(SimJob(netlist, faults, seq, width, state, drop))
+    chunk = [
+        SimJob(resolve_netlist(digest,
+                               lambda r=net_refs[digest]: shm.fetch(r)),
+               faults, seq, width, state, drop)
+        for digest, faults, seq, width, state, drop in shm.fetch(jobs_ref)
+    ]
     return fault_simulate_many(
         chunk, backend="kernel", shards=1, batch=True, collapse=False,
     )
@@ -587,88 +582,38 @@ def _batch_shard_worker(args):
 
 def _fused_sim_sharded(group: Sequence[SimJob],
                        shards: int) -> list[dict[Fault, int | None]]:
-    """Contiguous job partition across workers, shm-first transport.
+    """Contiguous job partition across workers.
 
     Member netlists are published once, keyed by content digest, so a
-    warm worker resolves them from its hash cache without touching the
-    segment; each worker fuses its own chunk (and caches the fused
+    warm worker resolves them from its hash cache without reading the
+    body; each worker fuses its own chunk (and caches the fused
     program by digest tuple), then the results merge positionally —
     byte-identical to the unsharded fused run, which is itself
-    byte-identical to per-design serial runs.
+    byte-identical to per-design serial runs.  The plane, its
+    transport and the recovery harness are those of
+    :func:`repro.gatelevel.shard.shard_map`.
     """
     from repro.flow import shm
-    from repro.flow.resilience import run_sharded
     from repro.gatelevel import kernel
-    from repro.gatelevel.fault_sim import (
-        _record_payload_bytes,
-        _record_shard_info,
-    )
+    from repro.gatelevel.shard import dispatch, split
 
-    shards = min(shards, len(group))
-    bounds = [round(i * len(group) / shards) for i in range(shards + 1)]
-    parts = [group[bounds[i]:bounds[i + 1]] for i in range(shards)]
-
-    def encode(job: SimJob) -> tuple:
-        digest = kernel.netlist_hash(job.netlist)
-        return (digest, job.faults, job.pi_sequence, job.width,
-                job.initial_state, job.drop_detected)
-
-    if shm.resolve_transport() == "shm":
-        with shm.PayloadPlane() as plane:
-            refs: dict[str, object] = {}
-            for job in group:
-                digest, blob = kernel.netlist_blob(job.netlist)
-                if digest not in refs:
-                    refs[digest] = plane.publish_object(
-                        None, blob=blob, digest=digest
-                    )
-            args = [
-                (i, plane.publish_object([encode(j) for j in part]),
-                 {e[0]: refs[e[0]]
-                  for e in map(encode, part)})
-                for i, part in enumerate(parts)
-            ]
-            _record_payload_bytes(args, plane)
-            results, info = run_sharded(
-                _batch_shard_worker, args, max_workers=shards,
-                label="batch_shard",
-            )
-    else:
-        # classic pickle transport: the netlist body crosses the pipe
-        # with the job; resolve_netlist still dedups decode in-worker.
-        args = [
-            (i, [
-                (j.netlist, j.faults, j.pi_sequence, j.width,
-                 j.initial_state, j.drop_detected)
-                for j in part
-            ], None)
-            for i, part in enumerate(parts)
-        ]
-        _record_payload_bytes(args, None)
-        results, info = run_sharded(
-            _batch_shard_worker_pickle, args, max_workers=shards,
-            label="batch_shard",
-        )
-    _record_shard_info(info)
-    out: list[dict[Fault, int | None]] = []
-    for res in results:
-        out.extend(res)
-    return out
-
-
-def _batch_shard_worker_pickle(args):
-    shard_index, payload, _refs = args
-    from repro.flow import chaos
-    from repro.gatelevel.kernel import netlist_hash, resolve_netlist
-
-    chaos.checkpoint(f"batch_shard:{shard_index}")
-    chunk = []
-    for netlist, faults, seq, width, state, drop in payload:
-        netlist = resolve_netlist(netlist_hash(netlist), netlist)
-        chunk.append(SimJob(netlist, faults, seq, width, state, drop))
-    return fault_simulate_many(
-        chunk, backend="kernel", shards=1, batch=True, collapse=False,
-    )
+    with shm.PayloadPlane() as plane:
+        net_refs: dict[str, object] = {}
+        for job in group:
+            digest, blob = kernel.netlist_blob(job.netlist)
+            if digest not in net_refs:
+                net_refs[digest] = plane.publish_object(
+                    job.netlist, blob=blob, digest=digest
+                )
+        args = []
+        for i, part in enumerate(split(group, min(shards, len(group)))):
+            jobs = [(kernel.netlist_hash(j.netlist), j.faults,
+                     j.pi_sequence, j.width, j.initial_state,
+                     j.drop_detected) for j in part]
+            args.append((i, plane.publish_object(jobs),
+                         {job[0]: net_refs[job[0]] for job in jobs}))
+        results = dispatch(_batch_shard_worker, args, plane, "batch_shard")
+    return [res for chunk in results for res in chunk]
 
 
 # ---------------------------------------------------------------------------

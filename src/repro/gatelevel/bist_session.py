@@ -31,7 +31,7 @@ with a deterministic, byte-identical merge (PR 2/3 conventions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from repro.bist.registers import TestRole
@@ -281,7 +281,8 @@ def bist_fault_attribution(
     shards = resolve_shards(shards)
     if shards > 1 and len(faults) >= 2 * MIN_FAULTS_PER_SHARD:
         return _attribution_sharded(
-            hardware, sessions, faults, marks, backend, shards
+            hardware, sessions, faults, marks, backend,
+            min(shards, len(faults) // MIN_FAULTS_PER_SHARD),
         )
     configs = [
         session_configuration(hardware, units) for units in sessions
@@ -330,52 +331,22 @@ def bist_fault_attribution(
     return result
 
 
-def _rehost_hardware(hardware: BISTHardware, digest: str) -> BISTHardware:
-    """Swap the hardware's netlist for the worker-cached copy.
-
-    ``resolve_netlist`` keeps one :class:`Netlist` per content hash
-    alive in the worker, and the compiled-program cache is keyed on
-    that object -- re-pointing the (cheap, frozen) hardware record at
-    it means a warm worker never recompiles the datapath.
-    """
-    import dataclasses
-
-    from repro.gatelevel.kernel import resolve_netlist
-
-    netlist = resolve_netlist(digest, hardware.netlist)
-    if netlist is not hardware.netlist:
-        hardware = dataclasses.replace(hardware, netlist=netlist)
-    return hardware
-
-
 def _attribution_shard_worker(args):
-    shard_index, digest, hardware, chunk, sessions, marks, backend = args
-    from repro.flow import chaos
+    from repro.gatelevel.shard import open_shard
 
-    chaos.checkpoint(f"bist_shard:{shard_index}")
-    hardware = _rehost_hardware(hardware, digest)
+    _digest, netlist, chunk, shared, params = open_shard(args)
+    # Re-point the record at the worker-cached netlist, whose compiled
+    # program a warm worker already holds.
+    hardware = replace(shared["hardware"], netlist=netlist)
     # collapse=False: the parent collapsed before sharding.
     return bist_fault_attribution(
-        hardware, sessions=sessions, faults=chunk, checkpoints=marks,
-        backend=backend, shards=1, collapse=False,
+        hardware, faults=chunk, shards=1, collapse=False, **params,
     )
 
 
-def _attribution_shard_worker_shm(args):
-    (shard_index, digest, hw_ref, fault_block, sessions, marks,
-     backend) = args
-    from repro.flow import chaos, shm
-    from repro.gatelevel.fault_sim import _decode_fault_block
-
-    chaos.checkpoint(f"bist_shard:{shard_index}")
-    hardware = _rehost_hardware(shm.fetch_object(hw_ref), digest)
-    chunk = (_decode_fault_block(hardware.netlist, fault_block)
-             if isinstance(fault_block, tuple)
-             else shm.fetch_object(fault_block))
-    return bist_fault_attribution(
-        hardware, sessions=sessions, faults=chunk, checkpoints=marks,
-        backend=backend, shards=1, collapse=False,
-    )
+#: One worker serves both transports; the name stays because the
+#: benchmark's tracer (``perfbench/workloads.py``) patches it.
+_attribution_shard_worker_shm = _attribution_shard_worker
 
 
 def _attribution_sharded(
@@ -386,82 +357,30 @@ def _attribution_sharded(
     backend: str,
     shards: int,
 ) -> dict[Fault, tuple[int, int] | None]:
-    """Fault-word sharding with deterministic merge (PR 2 convention):
-    contiguous fault chunks, per-fault independence makes any partition
-    exact, and the result dict is rebuilt in the caller's order.
+    """Fault-word sharding with deterministic merge: contiguous fault
+    chunks, per-fault independence makes any partition exact, and the
+    result dict is rebuilt in the caller's order.
 
+    Runs on :func:`repro.gatelevel.shard.shard_map`, which ships the
+    netlist by content hash; the hardware record travels without it.
     A crashed, killed, or pool-less shard is retried once and then run
-    in-process (:func:`repro.flow.resilience.run_sharded`); the merge
-    stays byte-identical and the fallback shows up in flow metrics.
-
-    Payload transport follows ``REPRO_SHARD_TRANSPORT``: ``shm``
-    publishes the hardware record (cache-stripped, so its content
-    digest is stable) and the fault index array once in shared memory;
-    ``pickle`` ships a full copy to every shard, the historical
-    baseline.
+    in-process; the merge stays byte-identical and the fallback shows
+    up in flow metrics.
     """
-    import dataclasses
+    from repro.gatelevel.shard import shard_map, split
 
-    from repro.flow import shm
-    from repro.flow.resilience import run_sharded
-    from repro.gatelevel import kernel
-    from repro.gatelevel.fault_sim import (
-        MIN_FAULTS_PER_SHARD,
-        _encode_fault_block,
-        _record_payload_bytes,
-        _record_shard_info,
+    results = shard_map(
+        _attribution_shard_worker, hardware.netlist,
+        split(faults, shards), "bist_shard",
+        # replace() rebuilds through __init__, dropping the lazy
+        # _signature_bits cache, so the pickled record (and hence the
+        # worker-side object-cache digest) is content-determined.
+        shared={"hardware": replace(hardware, netlist=None)},
+        sessions=sessions, checkpoints=marks, backend=backend,
     )
-
-    shards = min(shards, max(1, len(faults) // MIN_FAULTS_PER_SHARD))
-    if shards <= 1:
-        return bist_fault_attribution(
-            hardware, sessions=sessions, faults=faults,
-            checkpoints=marks, backend=backend, shards=1,
-            collapse=False,
-        )
-    bounds = [round(i * len(faults) / shards) for i in range(shards + 1)]
-    chunks = [list(faults[bounds[i]:bounds[i + 1]]) for i in range(shards)]
-    sess = [list(u) for u in sessions]
-    marks = list(marks)
-    digest = kernel.netlist_hash(hardware.netlist)
-    if shm.resolve_transport() == "shm":
-        with shm.PayloadPlane() as plane:
-            # replace() rebuilds through __init__, dropping the lazy
-            # _signature_bits cache so the pickled bytes (and hence the
-            # worker-side object-cache digest) are content-determined.
-            hw_ref = plane.publish_object(dataclasses.replace(hardware))
-            if kernel.have_kernel():
-                arr, extras = _encode_fault_block(
-                    hardware.netlist, list(faults)
-                )
-                fh = plane.publish_array(arr)
-                blocks = [
-                    (fh, bounds[i], bounds[i + 1],
-                     {p: f for p, f in extras.items()
-                      if bounds[i] <= p < bounds[i + 1]})
-                    for i in range(shards)
-                ]
-            else:
-                blocks = [plane.publish_object(c) for c in chunks]
-            args = [(i, digest, hw_ref, blocks[i], sess, marks, backend)
-                    for i in range(shards)]
-            _record_payload_bytes(args, plane)
-            results, info = run_sharded(
-                _attribution_shard_worker_shm, args, max_workers=shards,
-                label="bist_shard",
-            )
-    else:
-        args = [(i, digest, hardware, chunk, sess, marks, backend)
-                for i, chunk in enumerate(chunks)]
-        _record_payload_bytes(args, None)
-        results, info = run_sharded(
-            _attribution_shard_worker, args, max_workers=shards,
-            label="bist_shard",
-        )
     merged: dict[Fault, tuple[int, int] | None] = {}
     for res in results:
         merged.update(res)
-    _record_shard_info(info)
     return {f: merged[f] for f in faults}
 
 

@@ -21,7 +21,6 @@ processes; the merged result is byte-identical to a serial run.
 from __future__ import annotations
 
 import time
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 from repro.flow.metrics import record_metric
@@ -163,7 +162,8 @@ def fault_simulate_cycles(
     if shards > 1 and len(faults) >= 2 * MIN_FAULTS_PER_SHARD:
         return _fault_simulate_sharded(
             netlist, faults, pi_sequence, width, initial_state,
-            drop_detected, backend, shards,
+            drop_detected, backend,
+            min(shards, len(faults) // MIN_FAULTS_PER_SHARD),
         )
     t0 = time.perf_counter()
     if backend == "kernel":
@@ -214,109 +214,39 @@ def _deal_faults(netlist: Netlist, faults: Sequence[Fault],
     return [ranked[i::shards] for i in range(shards)]
 
 
-def _encode_fault_block(netlist: Netlist, faults: Sequence[Fault]):
-    """Faults as an ``(n, 2)`` int64 array of (topo row, stuck value).
-
-    The topo index is content-determined, so a worker decoding against
-    its own (or a hash-cached) copy of the netlist reconstructs exactly
-    the caller's fault list.  Faults on unknown nets (legal: they read
-    as undetectable) cannot be row-encoded and come back positionally
-    in ``extras``.
-    """
-    import numpy as np
-
-    from repro.gatelevel.kernel import compiled
-
-    index = compiled(netlist).index
-    arr = np.empty((len(faults), 2), dtype=np.int64)
-    extras: dict[int, Fault] = {}
-    for pos, f in enumerate(faults):
-        row = index.get(f.net, -1)
-        arr[pos, 0] = row
-        arr[pos, 1] = f.stuck_at
-        if row < 0:
-            extras[pos] = f
-    return arr, extras
-
-
-def _decode_fault_block(netlist: Netlist, block) -> list[Fault]:
-    """Inverse of :func:`_encode_fault_block` for one shard's slice."""
-    from repro.flow import shm
-
-    handle, start, end, extras = block
-    arr = shm.attach_array(handle)
-    names = netlist.topo_order()
-    out: list[Fault] = []
-    for pos in range(start, end):
-        row = int(arr[pos, 0])
-        if row < 0:
-            out.append(extras[pos])
-        else:
-            out.append(Fault(names[row], int(arr[pos, 1])))
-    return out
-
-
 def _shard_worker(args):
-    (shard_index, digest, netlist, chunk, pi_sequence, width,
-     initial_state, drop_detected, backend) = args
-    from repro.flow import chaos
-    from repro.gatelevel.kernel import resolve_netlist
+    from repro.gatelevel.shard import open_shard
 
-    chaos.checkpoint(f"faultsim_shard:{shard_index}")
-    # The pickle transport ships the body every task, but the hash
-    # cache still deduplicates the *compiled* program across tasks in a
-    # warm worker (the shipped copy is dropped on a hit).
-    netlist = resolve_netlist(digest, netlist)
+    _digest, netlist, chunk, shared, params = open_shard(args)
+    pi, state = shared["pi"], shared.get("state")
+    width = params["width"]
     t0 = time.perf_counter()
-    # collapse=False: the parent collapsed before sharding, so the
-    # chunk already holds representatives only.
-    res = fault_simulate_cycles(
-        netlist, chunk, pi_sequence, width=width,
-        initial_state=initial_state, drop_detected=drop_detected,
-        backend=backend, shards=1, collapse=False,
-    )
-    work = sum(
-        width * (len(pi_sequence) if c is None else c + 1)
-        for c in res.values()
-    )
-    return res, work, time.perf_counter() - t0
+    if params["backend"] == "kernel":
+        from repro.gatelevel.kernel import compiled
 
-
-def _shard_worker_shm(args):
-    (shard_index, digest, net_ref, fault_block, pi_ref, width,
-     state_ref, drop_detected, backend) = args
-    from repro.flow import chaos, shm
-    from repro.gatelevel.kernel import compiled, resolve_netlist
-
-    chaos.checkpoint(f"faultsim_shard:{shard_index}")
-    netlist = resolve_netlist(
-        digest, lambda: shm.attach_bytes(net_ref.handle)
-    )
-    chunk = (_decode_fault_block(netlist, fault_block)
-             if isinstance(fault_block, tuple)
-             else shm.fetch_object(fault_block))
-    initial_state = shm.fetch_object(state_ref) if state_ref else None
-    t0 = time.perf_counter()
-    if backend == "kernel" and isinstance(pi_ref, shm.ShmHandle):
         comp = compiled(netlist)
         res = comp.fault_simulate_cycles(
-            chunk, None, width=width, initial_state=initial_state,
-            drop_detected=drop_detected,
-            pi_words=shm.attach_array(pi_ref),
+            chunk, None, width=width, initial_state=state,
+            drop_detected=params["drop_detected"], pi_words=pi,
         )
         work = comp._pattern_cycles
     else:
-        pi_sequence = shm.fetch_object(pi_ref)
+        # collapse=False: the parent collapsed before sharding, so the
+        # chunk already holds representatives only.
         res = fault_simulate_cycles(
-            netlist, chunk, pi_sequence, width=width,
-            initial_state=initial_state, drop_detected=drop_detected,
-            backend=backend, shards=1, collapse=False,
+            netlist, chunk, pi, initial_state=state, shards=1,
+            collapse=False, **params,
         )
         work = sum(
-            width * (len(pi_sequence) if c is None else c + 1)
+            width * (len(pi) if c is None else c + 1)
             for c in res.values()
         )
     return res, work, time.perf_counter() - t0
+
+
+#: One worker serves both transports; the name stays because the
+#: benchmark's tracer (``perfbench/workloads.py``) patches it.
+_shard_worker_shm = _shard_worker
 
 
 def _fault_simulate_sharded(
@@ -335,114 +265,37 @@ def _fault_simulate_sharded(
     (:func:`_deal_faults`; fault independence makes any partition
     exact, and dealing evens out the shards' cost); the merged dict is
     rebuilt in the caller's fault order, so a sharded run is
-    byte-identical to a serial one.
+    byte-identical to a serial one.  The kernel backend ships the
+    pattern sequence packed into words, published once.
 
-    Payloads travel over the transport picked by
-    :func:`repro.flow.shm.resolve_transport` (``REPRO_SHARD_TRANSPORT``):
-    under ``shm`` the netlist body, the packed pattern words, and the
-    fault index array are published once in shared memory and each
-    shard's args are a few hundred bytes of references; under ``pickle``
-    every shard ships the full payload through the pool pipe (the
-    historical path, kept as baseline and fallback).  Results are
-    byte-identical across transports and shard counts.
-
-    Runs on :func:`repro.flow.resilience.run_sharded`: a shard whose
-    worker crashes or dies is retried once in a fresh pool and then
-    executed in-process, so worker loss degrades throughput, never the
-    result.  Fallbacks are visible as the ``shard_fallbacks`` /
-    ``shard_pool_rebuilds`` flow metrics.
+    Dispatch runs on :func:`repro.gatelevel.shard.shard_map`: payloads
+    travel over the transport picked by ``REPRO_SHARD_TRANSPORT``, and
+    a shard whose worker crashes or dies is retried once in a fresh
+    pool and then executed in-process, so worker loss degrades
+    throughput, never the result (visible as the ``shard_fallbacks`` /
+    ``shard_pool_rebuilds`` flow metrics).
     """
-    from repro.flow import shm
-    from repro.flow.resilience import run_sharded
     from repro.gatelevel import kernel
+    from repro.gatelevel.shard import shard_map
 
-    shards = min(shards, max(1, len(faults) // MIN_FAULTS_PER_SHARD))
-    if shards <= 1:
-        return fault_simulate_cycles(
-            netlist, faults, pi_sequence, width=width,
-            initial_state=initial_state, drop_detected=drop_detected,
-            backend=backend, shards=1, collapse=False,
+    if backend == "kernel":
+        pi = kernel.compiled(netlist).pack_pi_sequence(
+            list(pi_sequence), width
         )
-    chunks = _deal_faults(netlist, faults, shards)
-    bounds = [0, *accumulate(map(len, chunks))]
-    state = dict(initial_state) if initial_state else None
-    transport = shm.resolve_transport()
-    digest, blob = kernel.netlist_blob(netlist)
-    merged: dict[Fault, int | None] = {}
-    if transport == "shm":
-        with shm.PayloadPlane() as plane:
-            net_ref = plane.publish_object(None, blob=blob,
-                                           digest=digest)
-            if kernel.have_kernel():
-                arr, extras = _encode_fault_block(
-                    netlist, [f for chunk in chunks for f in chunk]
-                )
-                fh = plane.publish_array(arr)
-                blocks = [
-                    (fh, bounds[i], bounds[i + 1],
-                     {p: f for p, f in extras.items()
-                      if bounds[i] <= p < bounds[i + 1]})
-                    for i in range(shards)
-                ]
-            else:
-                blocks = [plane.publish_object(c) for c in chunks]
-            if backend == "kernel":
-                pi_ref = plane.publish_array(
-                    kernel.compiled(netlist).pack_pi_sequence(
-                        list(pi_sequence), width
-                    )
-                )
-            else:
-                pi_ref = plane.publish_object(list(pi_sequence))
-            state_ref = plane.publish_object(state) if state else None
-            args = [
-                (i, digest, net_ref, blocks[i], pi_ref, width,
-                 state_ref, drop_detected, backend)
-                for i in range(shards)
-            ]
-            _record_payload_bytes(args, plane)
-            results, info = run_sharded(
-                _shard_worker_shm, args, max_workers=shards,
-                label="faultsim_shard",
-            )
     else:
-        args = [(i, digest, netlist, chunk, list(pi_sequence), width,
-                 state, drop_detected, backend)
-                for i, chunk in enumerate(chunks)]
-        _record_payload_bytes(args, None)
-        results, info = run_sharded(
-            _shard_worker, args, max_workers=shards,
-            label="faultsim_shard",
-        )
+        pi = list(pi_sequence)
+    results = shard_map(
+        _shard_worker, netlist, _deal_faults(netlist, faults, shards),
+        "faultsim_shard",
+        shared={"pi": pi,
+                "state": dict(initial_state) if initial_state else None},
+        width=width, drop_detected=drop_detected, backend=backend,
+    )
+    merged: dict[Fault, int | None] = {}
     for i, (res, work, secs) in enumerate(results):
         _record_pps(work, secs, shard=i)
         merged.update(res)
-    _record_shard_info(info)
     return {f: merged[f] for f in faults}
-
-
-def _record_payload_bytes(args: Sequence, plane) -> None:
-    """Surface dispatch cost (bytes through the pool pipe) in flow
-    metrics -- skipped when no collector is open, so the sizing pickle
-    never taxes bare library calls."""
-    from repro.flow.metrics import metrics_active
-    from repro.flow.shm import payload_nbytes
-
-    if not metrics_active():
-        return
-    record_metric("payload_bytes",
-                  sum(payload_nbytes(a) for a in args))
-    if plane is not None:
-        record_metric("shm_bytes", plane.total_bytes)
-
-
-def _record_shard_info(info: Mapping[str, int]) -> None:
-    """Surface shard-recovery events in the current flow metrics."""
-    for name in ("shard_retries", "shard_fallbacks", "pool_rebuilds",
-                 "shard_errors"):
-        if info.get(name):
-            key = "shard_pool_rebuilds" if name == "pool_rebuilds" else name
-            record_metric(key, info[name])
 
 
 # ---------------------------------------------------------------------------

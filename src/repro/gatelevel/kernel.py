@@ -1135,12 +1135,11 @@ def netlist_hash(netlist: Netlist) -> str:
 def resolve_netlist(digest: str, payload) -> Netlist:
     """The process-local netlist for ``digest``, decoding at most once.
 
-    ``payload`` supplies the body on a cache miss: a :class:`Netlist`
-    (classic pickle transport -- it already crossed the pipe), raw
-    pickled ``bytes``, or a zero-argument callable returning either
-    (the shm transport's lazy fetch, so a warm worker never touches the
-    segment on a hit).  The registry is a bounded LRU
-    (``REPRO_WORKER_CACHE_SIZE``).
+    ``payload`` supplies the body on a cache miss: a :class:`Netlist`,
+    raw pickled ``bytes``, or a zero-argument callable returning either
+    (a shard worker's lazy :func:`repro.flow.shm.fetch`, so a warm
+    worker never reads the payload on a hit).  The registry is a
+    bounded LRU (``REPRO_WORKER_CACHE_SIZE``).
     """
     hit = _BY_HASH.get(digest)
     if hit is not None:

@@ -1,0 +1,177 @@
+"""One shard-dispatch seam for the fault-parallel engines.
+
+Fault simulation, PODEM and BIST attribution split a fault list into
+chunks and run one worker per chunk on
+:func:`repro.flow.resilience.run_sharded` (retry in a fresh pool, then
+in-process).  :func:`shard_map` publishes the netlist, the faults and
+the engine's ``shared`` payloads once on a
+:class:`repro.flow.shm.PayloadPlane` and gives each chunk one small
+argument; the worker's :func:`open_shard` fires the ``<label>:<i>``
+chaos checkpoint and resolves them.  The plane's transport decides
+whether a reference names a shared-memory segment or carries the
+payload inline (pickle), so one worker serves both.  The fused
+multi-design path (:mod:`repro.gatelevel.batch`) partitions jobs, not
+faults, and runs its own arguments through :func:`dispatch`.
+"""
+
+from __future__ import annotations
+
+from itertools import accumulate
+from typing import Any, Callable, Mapping, Sequence
+
+from repro.gatelevel.faults import Fault
+from repro.gatelevel.gates import Netlist
+
+
+def split(items: Sequence, n: int) -> list[list]:
+    """``items`` in ``n`` contiguous chunks of near-equal length."""
+    bounds = [round(i * len(items) / n) for i in range(n + 1)]
+    return [list(items[bounds[i]:bounds[i + 1]]) for i in range(n)]
+
+
+def shard_map(
+    worker: Callable[[Any], Any],
+    netlist: Netlist,
+    chunks: Sequence[Sequence[Fault]],
+    label: str,
+    shared: Mapping[str, Any] | None = None,
+    **params: Any,
+) -> list[Any]:
+    """Run ``worker`` once per fault chunk across a process pool.
+
+    ``shared`` holds the payloads every shard reads, published once:
+    numpy arrays zero-copy, anything else pickled (``None`` values are
+    left out).  ``params`` are small values that ride in each shard's
+    argument.  ``worker`` is a module-level function that starts with
+    :func:`open_shard`; ``label`` names its chaos checkpoints
+    ``<label>:<i>``.  Returns the workers' results in chunk order.
+    """
+    from repro.flow import shm
+    from repro.gatelevel import kernel
+
+    digest, blob = kernel.netlist_blob(netlist)
+    with shm.PayloadPlane() as plane:
+        net_ref = plane.publish_object(netlist, blob=blob, digest=digest)
+        blocks = _publish_faults(plane, netlist, chunks)
+        refs = {
+            name: (plane.publish_array(value)
+                   if hasattr(value, "__array_interface__")
+                   else plane.publish_object(value))
+            for name, value in (shared or {}).items() if value is not None
+        }
+        args = [(label, i, digest, net_ref, block, refs, params)
+                for i, block in enumerate(blocks)]
+        return dispatch(worker, args, plane, label)
+
+
+def open_shard(args) -> tuple[str, Netlist, list[Fault], dict, dict]:
+    """Worker side of :func:`shard_map`.
+
+    Returns ``(digest, netlist, faults, shared, params)``.  A warm
+    worker finds the netlist in its content-hash cache and never reads
+    the shipped body.
+    """
+    from repro.flow import chaos, shm
+    from repro.gatelevel.kernel import resolve_netlist
+
+    label, index, digest, net_ref, block, refs, params = args
+    chaos.checkpoint(f"{label}:{index}")
+    netlist = resolve_netlist(digest, lambda: shm.fetch(net_ref))
+    shared = {name: shm.fetch(ref) for name, ref in refs.items()}
+    return digest, netlist, _decode_faults(netlist, block), shared, params
+
+
+def dispatch(worker: Callable[[Any], Any], args: Sequence,
+             plane, label: str) -> list[Any]:
+    """Run one shard per argument while ``plane`` is open, recording
+    the dispatch cost and any recovery events in the flow metrics."""
+    from repro.flow import resilience
+
+    _record_payload_bytes(args, plane)
+    results, info = resilience.run_sharded(
+        worker, args, max_workers=len(args), label=label,
+    )
+    _record_shard_info(info)
+    return results
+
+
+# ---------------------------------------------------------------------------
+# fault rows
+
+def _publish_faults(plane, netlist: Netlist,
+                    chunks: Sequence[Sequence[Fault]]) -> list:
+    """One fault block per chunk.
+
+    With the kernel, all chunks' faults become one ``(n, 2)`` int64
+    array of (topo row, stuck value), published once, and a block is
+    ``(ref, start, end, extras)``.  The topo index is content-determined,
+    so a worker decoding against its own (or a hash-cached) copy of the
+    netlist rebuilds exactly the caller's faults.  Faults on unknown
+    nets (legal: they read as undetectable) have no row and come back
+    positionally from ``extras``.  Without the kernel (no numpy) each
+    chunk is published as an object.
+    """
+    from repro.gatelevel import kernel
+
+    if not kernel.have_kernel():
+        return [plane.publish_object(list(chunk)) for chunk in chunks]
+    import numpy as np
+
+    index = kernel.compiled(netlist).index
+    faults = [f for chunk in chunks for f in chunk]
+    rows = np.empty((len(faults), 2), dtype=np.int64)
+    extras: dict[int, Fault] = {}
+    for pos, f in enumerate(faults):
+        row = index.get(f.net, -1)
+        rows[pos, 0] = row
+        rows[pos, 1] = f.stuck_at
+        if row < 0:
+            extras[pos] = f
+    ref = plane.publish_array(rows)
+    bounds = [0, *accumulate(map(len, chunks))]
+    return [
+        (ref, lo, hi, {p: f for p, f in extras.items() if lo <= p < hi})
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+def _decode_faults(netlist: Netlist, block) -> list[Fault]:
+    """Inverse of :func:`_publish_faults` for one shard's block."""
+    from repro.flow import shm
+
+    if not isinstance(block, tuple):
+        return shm.fetch(block)
+    ref, start, end, extras = block
+    names = netlist.topo_order()
+    rows = shm.fetch(ref)[start:end].tolist()
+    return [extras[pos] if row < 0 else Fault(names[row], stuck)
+            for pos, (row, stuck) in enumerate(rows, start)]
+
+
+# ---------------------------------------------------------------------------
+# metrics
+
+def _record_payload_bytes(args: Sequence, plane) -> None:
+    """Surface dispatch cost (bytes through the pool pipe, and bytes in
+    shared memory) in flow metrics -- skipped when no collector is
+    open, so the sizing pickle never taxes bare library calls."""
+    from repro.flow.metrics import metrics_active, record_metric
+    from repro.flow.shm import payload_nbytes
+
+    if not metrics_active():
+        return
+    record_metric("payload_bytes",
+                  sum(payload_nbytes(a) for a in args))
+    if plane.total_bytes:
+        record_metric("shm_bytes", plane.total_bytes)
+
+
+def _record_shard_info(info: Mapping[str, int]) -> None:
+    """Surface shard-recovery events in the current flow metrics."""
+    from repro.flow.metrics import record_metric
+
+    for name in ("shard_retries", "shard_fallbacks", "pool_rebuilds",
+                 "shard_errors"):
+        if info.get(name):
+            key = "shard_pool_rebuilds" if name == "pool_rebuilds" else name
+            record_metric(key, info[name])

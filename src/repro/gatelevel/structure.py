@@ -621,10 +621,10 @@ def resolve_structure(digest: str, payload, netlist: Netlist) -> Structure:
     once per process.
 
     ``payload`` supplies the packed SCOAP rows on a cache miss: an
-    ``(n, 3)`` array, a zero-argument callable returning one (the shm
-    transport's lazy attach), or ``None`` to recompute locally (pickle
-    transport -- the analysis is deterministic, so the recompute is
-    byte-identical to the parent's copy).
+    ``(n, 3)`` array, or ``None`` to recompute locally (without numpy
+    the parent has no packed rows to ship -- the analysis is
+    deterministic, so the recompute is byte-identical to the parent's
+    copy).
     """
     cached = _STRUCT_BY_HASH.get(digest)
     if cached is not None:
@@ -632,8 +632,6 @@ def resolve_structure(digest: str, payload, netlist: Netlist) -> Structure:
         _STATS["resolve_hits"] += 1
         return cached
     _STATS["resolve_misses"] += 1
-    if callable(payload):
-        payload = payload()
     if payload is None:
         return structural_analysis(netlist)
     order = netlist.topo_order()

@@ -213,59 +213,17 @@ def _random_predrop(
 # fault-parallel PODEM
 
 def _podem_worker(args) -> list[ATPGResult]:
-    (shard_index, digest, netlist, chunk, backtrack_limit,
-     atpg_backend, guidance) = args
-    from repro.flow import chaos
-    from repro.gatelevel.kernel import resolve_netlist
-    from repro.gatelevel.structure import structural_analysis
-
-    chaos.checkpoint(f"podem_shard:{shard_index}")
-    netlist = resolve_netlist(digest, netlist)
-    # The pickle transport recomputes the structural analysis locally
-    # (deterministic, hash-cached across tasks in a warm worker).
-    structure = structural_analysis(netlist) if guidance else None
-    return [
-        combinational_atpg(
-            netlist, f, backtrack_limit=backtrack_limit,
-            backend=atpg_backend, guidance=guidance,
-            structure=structure,
-        )
-        for f in chunk
-    ]
-
-
-def _podem_worker_shm(args) -> list[ATPGResult]:
-    (shard_index, digest, net_ref, fault_block, backtrack_limit,
-     atpg_backend, guidance, scoap_ref) = args
-    from repro.flow import chaos, shm
-    from repro.gatelevel.fault_sim import _decode_fault_block
-    from repro.gatelevel.kernel import resolve_netlist
+    from repro.gatelevel.shard import open_shard
     from repro.gatelevel.structure import resolve_structure
 
-    chaos.checkpoint(f"podem_shard:{shard_index}")
-    netlist = resolve_netlist(
-        digest, lambda: shm.attach_bytes(net_ref.handle)
-    )
-    chunk = (_decode_fault_block(netlist, fault_block)
-             if isinstance(fault_block, tuple)
-             else shm.fetch_object(fault_block))
+    digest, netlist, chunk, shared, params = open_shard(args)
     structure = None
-    if guidance:
-        # The parent published its packed SCOAP rows once on the
-        # payload plane; a warm worker resolves them from its digest
-        # cache without touching the segment again.
-        structure = resolve_structure(
-            digest,
-            (lambda: shm.attach_array(scoap_ref))
-            if scoap_ref is not None else None,
-            netlist,
-        )
+    if params["guidance"]:
+        # The parent ships its packed SCOAP rows; a warm worker resolves
+        # them from its digest cache.
+        structure = resolve_structure(digest, shared.get("scoap"), netlist)
     return [
-        combinational_atpg(
-            netlist, f, backtrack_limit=backtrack_limit,
-            backend=atpg_backend, guidance=guidance,
-            structure=structure,
-        )
+        combinational_atpg(netlist, f, structure=structure, **params)
         for f in chunk
     ]
 
@@ -277,7 +235,7 @@ def _parallel_podem(
     atpg_backend: str | None,
     shards: int,
     guidance: bool = False,
-) -> dict[Fault, ATPGResult] | None:
+) -> dict[Fault, ATPGResult]:
     """Speculative per-fault PODEM across a process pool.
 
     Every residue fault is searched, including ones a later replay
@@ -286,81 +244,26 @@ def _parallel_podem(
     (netlist, fault, backtrack limit), so the replayed merge is
     byte-identical to the serial loop.
 
-    Payloads follow ``REPRO_SHARD_TRANSPORT``: under ``shm`` the
-    netlist body and the fault index array are published once in shared
-    memory (names + bounds per shard); under ``pickle`` each shard
-    ships the whole netlist, the historical baseline.
-
-    Resilient via :func:`repro.flow.resilience.run_sharded`: a crashed
-    or killed shard is retried once in a fresh pool, then its chunk is
-    searched in-process -- same results, fallback recorded in flow
-    metrics.  Returns None only when sharding is not worthwhile.
+    The faults split into contiguous chunks and run on
+    :func:`repro.gatelevel.shard.shard_map`: payloads follow
+    ``REPRO_SHARD_TRANSPORT``, and a crashed or killed shard is retried
+    once in a fresh pool, then its chunk is searched in-process -- same
+    results, fallback recorded in flow metrics.
     """
-    from repro.flow import shm
-    from repro.flow.resilience import run_sharded
     from repro.gatelevel import kernel
-    from repro.gatelevel.fault_sim import (
-        _encode_fault_block,
-        _record_payload_bytes,
-        _record_shard_info,
+    from repro.gatelevel.shard import shard_map, split
+
+    scoap = None
+    if guidance and kernel.have_kernel():
+        from repro.gatelevel.structure import pack_scoap, structural_analysis
+
+        scoap = pack_scoap(structural_analysis(netlist), netlist)
+    results = shard_map(
+        _podem_worker, netlist, split(faults, shards), "podem_shard",
+        shared={"scoap": scoap}, backtrack_limit=backtrack_limit,
+        backend=atpg_backend, guidance=guidance,
     )
-
-    shards = min(shards, max(1, len(faults) // MIN_FAULTS_PER_SHARD))
-    if shards <= 1:
-        return None
-    bounds = [round(i * len(faults) / shards) for i in range(shards + 1)]
-    chunks = [
-        list(faults[bounds[i]:bounds[i + 1]]) for i in range(shards)
-    ]
-    digest, blob = kernel.netlist_blob(netlist)
-    if shm.resolve_transport() == "shm":
-        with shm.PayloadPlane() as plane:
-            net_ref = plane.publish_object(None, blob=blob,
-                                           digest=digest)
-            if kernel.have_kernel():
-                arr, extras = _encode_fault_block(netlist, list(faults))
-                fh = plane.publish_array(arr)
-                blocks = [
-                    (fh, bounds[i], bounds[i + 1],
-                     {p: f for p, f in extras.items()
-                      if bounds[i] <= p < bounds[i + 1]})
-                    for i in range(shards)
-                ]
-            else:
-                blocks = [plane.publish_object(c) for c in chunks]
-            scoap_ref = None
-            if guidance and kernel.have_kernel():
-                from repro.gatelevel.structure import (
-                    pack_scoap,
-                    structural_analysis,
-                )
-
-                scoap_ref = plane.publish_array(
-                    pack_scoap(structural_analysis(netlist), netlist)
-                )
-            args = [(i, digest, net_ref, blocks[i], backtrack_limit,
-                     atpg_backend, guidance, scoap_ref)
-                    for i in range(shards)]
-            _record_payload_bytes(args, plane)
-            results, info = run_sharded(
-                _podem_worker_shm, args, max_workers=shards,
-                label="podem_shard",
-            )
-    else:
-        args = [(i, digest, netlist, chunk, backtrack_limit,
-                 atpg_backend, guidance)
-                for i, chunk in enumerate(chunks)]
-        _record_payload_bytes(args, None)
-        results, info = run_sharded(
-            _podem_worker, args, max_workers=shards,
-            label="podem_shard",
-        )
-    out: dict[Fault, ATPGResult] = {}
-    for res_list in results:
-        for res in res_list:
-            out[res.fault] = res
-    _record_shard_info(info)
-    return out
+    return {res.fault: res for chunk in results for res in chunk}
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +355,8 @@ def generate_tests(
     searched: dict[Fault, ATPGResult] | None = None
     if shards > 1 and len(remaining) >= 2 * MIN_FAULTS_PER_SHARD:
         searched = _parallel_podem(
-            netlist, remaining, backtrack_limit, atpg_backend, shards,
+            netlist, remaining, backtrack_limit, atpg_backend,
+            min(shards, len(remaining) // MIN_FAULTS_PER_SHARD),
             guidance=guidance,
         )
 

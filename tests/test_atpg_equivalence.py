@@ -20,6 +20,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.flow import shm
 from repro.gatelevel.atpg import (
     combinational_atpg,
     resolve_atpg_backend,
@@ -118,25 +119,32 @@ class TestEventEnginePODEM:
 
 
 class TestShardedGeneration:
-    def test_sharded_identical_to_serial(self, fullscan_nl):
+    # Both transports: shm publishes the payloads in shared memory, and
+    # pickle carries them inside every shard argument.
+    def test_sharded_identical_to_serial(self, fullscan_nl, monkeypatch):
         faults = all_faults(fullscan_nl)
         serial = generate_tests(fullscan_nl, faults=faults, shards=1)
-        for shards in (2, 4):
-            sharded = generate_tests(
-                fullscan_nl, faults=faults, shards=shards
-            )
-            assert _same_testset(serial, sharded), shards
+        for transport in ("shm", "pickle"):
+            monkeypatch.setenv(shm.TRANSPORT_ENV, transport)
+            for shards in (2, 4):
+                sharded = generate_tests(
+                    fullscan_nl, faults=faults, shards=shards
+                )
+                assert _same_testset(serial, sharded), (transport, shards)
 
-    def test_sharded_identical_without_predrop(self, fullscan_nl):
+    def test_sharded_identical_without_predrop(self, fullscan_nl,
+                                               monkeypatch):
         faults = all_faults(fullscan_nl)[:60]
         serial = generate_tests(
             fullscan_nl, faults=faults, predrop=0, shards=1
         )
-        for shards in (2, 4):
-            sharded = generate_tests(
-                fullscan_nl, faults=faults, predrop=0, shards=shards
-            )
-            assert _same_testset(serial, sharded), shards
+        for transport in ("shm", "pickle"):
+            monkeypatch.setenv(shm.TRANSPORT_ENV, transport)
+            for shards in (2, 4):
+                sharded = generate_tests(
+                    fullscan_nl, faults=faults, predrop=0, shards=shards
+                )
+                assert _same_testset(serial, sharded), (transport, shards)
 
     def test_backends_identical(self, fullscan_nl):
         faults = all_faults(fullscan_nl)[:80]

@@ -19,6 +19,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.flow import shm
 from repro.gatelevel import batch, fault_sim, genscale
 from repro.gatelevel.batch import (
     MaskJob,
@@ -154,21 +155,26 @@ class TestShardIdentity:
         designs = [genscale.generate_netlist(120, seed=s)
                    for s in (11, 12, 13, 14)]
         jobs = _sim_jobs(designs, n_cycles=2, width=8)
-        runs = {
-            shards: fault_simulate_many(
+
+        def run(shards):
+            return fault_simulate_many(
                 jobs, backend="kernel", shards=shards, batch=True,
                 collapse=False,
             )
-            for shards in (1, 2, 4)
-        }
-        assert runs[1] == runs[2] == runs[4]
-        for res1, res2, res4 in zip(runs[1], runs[2], runs[4]):
-            assert list(res1) == list(res2) == list(res4)
+
+        fused = run(1)
+        for transport in ("shm", "pickle"):
+            monkeypatch.setenv(shm.TRANSPORT_ENV, transport)
+            for shards in (2, 4):
+                sharded = run(shards)
+                assert sharded == fused, (transport, shards)
+                for res, want in zip(sharded, fused):
+                    assert list(res) == list(want), (transport, shards)
         serial = [fault_simulate_cycles(
             j.netlist, j.faults, j.pi_sequence, width=8,
             backend="kernel", shards=1, collapse=False,
         ) for j in jobs]
-        assert runs[1] == serial
+        assert fused == serial
 
 
 # -- fused detect masks -----------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cdfg import suite
 from repro.bist import assign_test_roles, schedule_sessions
+from repro.flow import shm
 from repro.gatelevel.bist_session import (
     bist_fault_attribution,
     bist_fault_coverage,
@@ -126,19 +127,19 @@ class TestCoverageEquality:
 
 
 class TestSharding:
-    def test_shard_identity(self, iir2):
-        """1/2/4 shards merge to the identical attribution map."""
+    def test_shard_identity(self, iir2, monkeypatch):
+        """1/2/4 shards merge to the identical attribution map, under
+        both shard transports."""
         hw, sessions = iir2
         faults = all_faults(hw.netlist)[:64]
-        runs = {
-            shards: bist_fault_attribution(
-                hw, sessions=sessions, cycles=16, faults=faults,
-                shards=shards,
-            )
-            for shards in (1, 2, 4)
-        }
-        assert runs[1] == runs[2] == runs[4]
-        assert list(runs[1]) == list(runs[2]) == list(runs[4])
+        kw = dict(sessions=sessions, cycles=16, faults=faults)
+        serial = bist_fault_attribution(hw, shards=1, **kw)
+        for transport in ("shm", "pickle"):
+            monkeypatch.setenv(shm.TRANSPORT_ENV, transport)
+            for shards in (2, 4):
+                sharded = bist_fault_attribution(hw, shards=shards, **kw)
+                assert sharded == serial, (transport, shards)
+                assert list(sharded) == list(serial), (transport, shards)
 
 
 class TestAttribution:

@@ -62,6 +62,12 @@ class TestTransportResolution:
 # -- payload plane lifecycle -----------------------------------------------
 
 class TestPayloadPlane:
+    @pytest.fixture(autouse=True)
+    def _shm_transport(self, monkeypatch):
+        # A plane reads the transport when it is made; these tests pin
+        # the segment path whatever REPRO_SHARD_TRANSPORT says.
+        monkeypatch.setenv(shm.TRANSPORT_ENV, "shm")
+
     def test_bytes_roundtrip_and_unlink(self):
         with shm.PayloadPlane() as plane:
             h = plane.publish_bytes(b"stuck-at-0")
@@ -89,6 +95,23 @@ class TestPayloadPlane:
             stats = shm.worker_cache_stats()
         assert stats["object_misses"] == before + 1
         assert stats["object_hits"] >= 1
+
+    @pytest.mark.parametrize("transport", ["shm", "pickle"])
+    def test_fetch_reads_either_transport(self, monkeypatch, transport):
+        np = pytest.importorskip("numpy")
+        monkeypatch.setenv(shm.TRANSPORT_ENV, transport)
+        payload = {"faults": list(range(8))}
+        arr = np.arange(12, dtype=np.int64).reshape(6, 2)
+        with shm.PayloadPlane() as plane:
+            obj_ref = plane.publish_object(payload)
+            arr_ref = plane.publish_array(arr)
+            assert plane.inline == (transport == "pickle")
+            assert shm.fetch(obj_ref) == payload
+            assert (shm.fetch(arr_ref) == arr).all()
+            if plane.inline:
+                # The reference carries the payload: no segment at all.
+                assert shm.fetch(obj_ref) is payload
+                assert plane.total_bytes == 0
 
     def test_close_is_idempotent_and_exception_safe(self):
         plane = shm.PayloadPlane()
