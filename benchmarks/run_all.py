@@ -15,7 +15,7 @@ aggregated into ``benchmarks/results/run_all_timings.json``.
 ``REPRO_BENCH_QUICK=1`` (or ``--quick``) switches the slow scoreboard
 benches (``bench_atpg``'s ~150s reference-engine sweep,
 ``bench_bist_faultsim``'s fault-serial baseline, ``bench_collapse``/
-``bench_batch``/``bench_dmachine``'s full sweeps) to their smallest
+``bench_dmachine``'s full sweeps) to their smallest
 equality-gate case so the full suite finishes in well under a minute
 for CI and local sweeps.  Quick runs leave every committed full-sweep
 artifact untouched: the ``BENCH_*.json`` scoreboards, the

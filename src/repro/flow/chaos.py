@@ -16,8 +16,8 @@ Sites are plain strings the instrumented code passes to
 
 * ``stage:<name>`` -- every flow stage execution (the runner calls it
   inside ``_execute``, so it fires in worker processes too);
-* ``faultsim_shard:<i>`` / ``podem_shard:<i>`` / ``bist_shard:<i>`` /
-  ``batch_shard:<i>`` -- the sharded kernel workers.
+* ``faultsim_shard:<i>`` / ``podem_shard:<i>`` / ``bist_shard:<i>``
+  -- the sharded kernel workers.
 
 Injection modes:
 

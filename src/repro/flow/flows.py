@@ -463,19 +463,16 @@ def hier_generate(hier_cdfg, hier_fub, width: int, budget: int):
 
 def hier_apply(hier_composite, hier_steps, hier_tests, hier_faults,
                width: int, backend: str | None = None,
-               shards: int | None = None, batch: bool | None = None):
+               shards: int | None = None):
     """Fault-simulate the composed tests at gate level (with fault
     dropping: a detected fault is never simulated again).
 
-    With ``batch`` (default: ``REPRO_KERNEL_BATCH``) up to 64 composed
-    tests pack along the pattern-width axis into one kernel invocation
-    instead of one call per test.  Each packed column is exactly one
-    test's constant-input sequence (absent input names default to 0 in
-    both paths), and a fault counts as detected when *any* test
-    detects it -- so ``hier_detected`` is identical either way; only
-    the per-call overhead changes.
+    Up to 64 composed tests pack along the pattern-width axis into one
+    simulation call.  Each packed column is exactly one test's
+    constant-input sequence (absent input names read 0), and a fault
+    counts as detected when *any* test detects it, so
+    ``hier_detected`` equals a one-call-per-test loop's.
     """
-    from repro.gatelevel.batch import resolve_batch
     from repro.gatelevel.fault_sim import fault_simulate
 
     t0 = time.perf_counter()
@@ -483,11 +480,7 @@ def hier_apply(hier_composite, hier_steps, hier_tests, hier_faults,
     remaining = list(hier_faults)
     pattern_cycles = 0
     tests = list(hier_tests)
-    if resolve_batch(batch):
-        chunks = [tests[i:i + 64] for i in range(0, len(tests), 64)]
-    else:
-        chunks = [[t] for t in tests]
-    for chunk in chunks:
+    for chunk in (tests[i:i + 64] for i in range(0, len(tests), 64)):
         if not remaining:
             break
         w = len(chunk)
@@ -558,8 +551,7 @@ def hierarchical_flow(width: int = HIER_WIDTH,
                       fault_sample: int = HIER_FAULT_SAMPLE,
                       budget: int = 16,
                       backend: str | None = None,
-                      shards: int | None = None,
-                      batch: bool | None = None) -> Flow:
+                      shards: int | None = None) -> Flow:
     """Hierarchical test generation vs flat sequential ATPG (E-6)."""
     f = Flow("hierarchical")
     f.stage(
@@ -581,11 +573,9 @@ def hierarchical_flow(width: int = HIER_WIDTH,
         inputs=("hier_composite", "hier_steps", "hier_tests",
                 "hier_faults"),
         outputs=("hier_detected",),
-        params={"width": width, "backend": backend, "shards": shards,
-                "batch": batch},
+        params={"width": width, "backend": backend, "shards": shards},
         code_deps=("repro.gatelevel.fault_sim",
-                   "repro.gatelevel.kernel",
-                   "repro.gatelevel.batch"),
+                   "repro.gatelevel.kernel"),
     )
     f.stage(
         "flat_atpg", hier_flat_atpg,
@@ -719,7 +709,7 @@ def table1_flow() -> Flow:
 
 
 # ---------------------------------------------------------------------------
-# corpus coverage (batchable) -- COV
+# corpus coverage -- COV
 # ---------------------------------------------------------------------------
 
 def coverage_build(design: str):
@@ -728,23 +718,16 @@ def coverage_build(design: str):
     return resolve_design(design)
 
 
-def _coverage_row(netlist, design: str, cov: float, n_patterns: int):
-    """One coverage row.  Shared by the per-flow stage and the batched
-    runner so both produce byte-identical artifacts."""
-    from repro.gatelevel.faults import all_faults
-
-    return (design, netlist.num_gates(), len(netlist.dffs()),
-            len(all_faults(netlist)), n_patterns, f"{cov:.4f}")
-
-
 def coverage_row(cov_netlist, design: str, n_patterns: int, seed: int,
                  backend: str | None = None):
+    from repro.gatelevel.faults import all_faults
     from repro.gatelevel.random_patterns import random_pattern_coverage
 
     cov = random_pattern_coverage(
         cov_netlist, n_patterns=n_patterns, seed=seed, backend=backend
     )
-    return _coverage_row(cov_netlist, design, cov, n_patterns)
+    return (design, cov_netlist.num_gates(), len(cov_netlist.dffs()),
+            len(all_faults(cov_netlist)), n_patterns, f"{cov:.4f}")
 
 
 def coverage_table(cov_row):
@@ -759,7 +742,7 @@ def coverage_table(cov_row):
 def coverage_flow(design: str = "gs:400:3", n_patterns: int = 256,
                   seed: int = 1, backend: str | None = None) -> Flow:
     """Random-pattern coverage of one registered or genscale design
-    (COV; batchable -- compatible queued submissions fuse)."""
+    (COV)."""
     f = Flow("coverage")
     f.stage(
         "build", coverage_build,
@@ -774,8 +757,7 @@ def coverage_flow(design: str = "gs:400:3", n_patterns: int = 256,
         params={"design": design, "n_patterns": n_patterns,
                 "seed": seed, "backend": backend},
         code_deps=("repro.gatelevel.random_patterns",
-                   "repro.gatelevel.kernel",
-                   "repro.gatelevel.batch"),
+                   "repro.gatelevel.kernel"),
     )
     f.stage(
         "table", coverage_table,
@@ -783,88 +765,6 @@ def coverage_flow(design: str = "gs:400:3", n_patterns: int = 256,
         outputs=("table",),
     )
     return f
-
-
-def _filled_params(builder, params):
-    """``params`` completed with the builder's defaults; raises
-    ``KeyError`` on names the builder does not accept."""
-    import inspect
-
-    full: dict[str, Any] = {}
-    for name, p in inspect.signature(builder).parameters.items():
-        if p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD):
-            continue
-        full[name] = p.default
-    for key, value in params.items():
-        if key not in full:
-            raise KeyError(key)
-        full[key] = value
-    return full
-
-
-def coverage_batch_key(params):
-    """Hashable compatibility key: submissions fusing together must
-    agree on everything except the design under test."""
-    full = _filled_params(coverage_flow, dict(params))
-    full.pop("design")
-    return tuple(sorted(full.items()))
-
-
-def coverage_batch_run(params_list, cache=None, pools=None, jobs=1):
-    """Run many ``coverage`` submissions as ONE fused kernel sweep.
-
-    Returns one result dict per submission, shaped and byte-identical
-    to what :meth:`repro.serve.scheduler.Scheduler._run` produces for
-    a solo execution of the same params: the covers come from
-    :func:`repro.gatelevel.batch.random_coverage_many` (proven
-    byte-identical to per-design serial coverage) and the artifacts
-    are rebuilt through the same row/table helpers the flow stages
-    use.  Coalesced runs bypass the stage cache; stage keys are still
-    reported so clients can correlate.
-    """
-    from types import SimpleNamespace
-
-    from repro.designs import resolve_design
-    from repro.flow.cli import render_artifacts
-    from repro.flow.runner import Runner
-    from repro.gatelevel.batch import random_coverage_many
-    from repro.serve.scheduler import json_safe_artifacts
-
-    full = [_filled_params(coverage_flow, dict(p)) for p in params_list]
-    shared = full[0]
-    netlists = [resolve_design(p["design"]) for p in full]
-    covs = random_coverage_many(
-        netlists, n_patterns=shared["n_patterns"], seed=shared["seed"],
-        backend=shared["backend"],
-    )
-    runner = Runner(cache=cache, pools=pools)
-    out = []
-    for p, nl, cov in zip(full, netlists, covs):
-        row = _coverage_row(nl, p["design"], cov, p["n_patterns"])
-        artifacts = {
-            "cov_netlist": nl,
-            "cov_row": row,
-            "table": coverage_table(row),
-        }
-        safe, omitted = json_safe_artifacts(artifacts)
-        out.append({
-            "rendered": render_artifacts(
-                SimpleNamespace(artifacts=artifacts)
-            ),
-            "artifacts": safe,
-            "omitted": omitted,
-            "keys": runner.stage_keys(coverage_flow(**p)),
-            "ok": True,
-        })
-    return out
-
-
-#: flow name -> (batch_key_fn, batch_run_fn).  The serve scheduler's
-#: coalescing window fuses queued submissions of the same flow whose
-#: batch keys agree into one ``batch_run_fn`` invocation.
-BATCHABLE: dict[str, tuple[Callable, Callable]] = {
-    "coverage": (coverage_batch_key, coverage_batch_run),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -1120,8 +1020,7 @@ def fuzz_smoke_flow(trials: int = 8, seed: int = 0,
                    "repro.gatelevel.kernel",
                    "repro.gatelevel.fault_sim",
                    "repro.gatelevel.atpg",
-                   "repro.gatelevel.bist_session",
-                   "repro.gatelevel.batch"),
+                   "repro.gatelevel.bist_session"),
     )
     f.stage(
         "table", fuzz_smoke_table,

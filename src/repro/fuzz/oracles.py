@@ -21,10 +21,9 @@ The differential pairs mirror every backend pair the repository ships:
 (serial vs fault-parallel), ``transport`` (shm vs pickle shard
 payloads), ``collapse`` (representatives-expanded vs full universe),
 ``atpg`` (reference vs event-driven PODEM classification), ``guidance``
-(SCOAP-guided vs unguided classification), ``atpg_vs_sim`` (a PODEM
-"detected" vector must actually detect under fault simulation), and
-``batch`` (fused block-diagonal vs per-design serial), plus ``bist``
-attribution (kernel vs interpreter) on MISR-wrapped specs.
+(SCOAP-guided vs unguided classification) and ``atpg_vs_sim`` (a PODEM
+"detected" vector must actually detect under fault simulation), plus
+``bist`` attribution (kernel vs interpreter) on MISR-wrapped specs.
 
 :data:`INJECTED_BUGS` holds deliberately broken predicates used by the
 benchmark harness and the minimizer acceptance tests -- they fabricate
@@ -177,27 +176,6 @@ def _leg_bist(arg) -> list[list]:
     ]
 
 
-def _leg_batch(arg) -> list[list]:
-    """Two-job fault simulation, fused or serial, canonicalised."""
-    netlist, faults_a, faults_b, seq, width, batch = arg
-    from repro.gatelevel.batch import SimJob, fault_simulate_many
-
-    jobs = [
-        SimJob(netlist, faults_a, seq, width=width),
-        SimJob(netlist, faults_b, seq, width=width),
-    ]
-    results = fault_simulate_many(
-        jobs, backend="kernel", shards=1, batch=batch, collapse=False
-    )
-    out = []
-    for job, res in zip(jobs, results):
-        out.append([
-            [f.net, f.stuck_at, -1 if res[f] is None else res[f]]
-            for f in job.faults
-        ])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # oracle registry
 
@@ -325,21 +303,6 @@ def _o_atpg_vs_sim(netlist, spec, options) -> list[Leg] | None:
     ]
 
 
-def _o_batch(netlist, spec, options) -> list[Leg] | None:
-    from repro.gatelevel.genscale import sample_faults
-
-    faults_a = spec.faults(netlist)
-    faults_b = sample_faults(netlist, spec.n_faults,
-                             seed=spec.seed + 1)
-    seq = spec.patterns(netlist)
-    return [
-        Leg("batch=serial", _leg_batch,
-            (netlist, faults_a, faults_b, seq, spec.width, False)),
-        Leg("batch=fused", _leg_batch,
-            (netlist, faults_a, faults_b, seq, spec.width, True)),
-    ]
-
-
 def _o_bist(netlist, spec, options) -> list[Leg] | None:
     if not spec.bist:
         return None
@@ -394,7 +357,6 @@ ORACLES: dict[str, OracleDef] = {
     "guidance": OracleDef("guidance", _o_guidance,
                           comparator=compare_classifications),
     "atpg_vs_sim": OracleDef("atpg_vs_sim", _o_atpg_vs_sim),
-    "batch": OracleDef("batch", _o_batch),
     "bist": OracleDef("bist", _o_bist),
 }
 

@@ -11,7 +11,7 @@ backtrack budget, parallel-pattern fault simulation, and pseudorandom
 
 from repro.gatelevel.gates import Gate, Netlist, NetlistError
 from repro.gatelevel.simulate import simulate, parallel_simulate
-from repro.gatelevel.faults import Fault, all_faults, collapse_faults
+from repro.gatelevel.faults import Fault, all_faults
 from repro.gatelevel.fault_sim import (
     fault_simulate,
     detected_faults,
@@ -77,7 +77,6 @@ __all__ = [
     "parallel_simulate",
     "Fault",
     "all_faults",
-    "collapse_faults",
     "fault_simulate",
     "detected_faults",
     "resolve_backend",

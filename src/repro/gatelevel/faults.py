@@ -10,13 +10,11 @@ coverage *orderings*, which is what the experiments assert.
 
 Full structural collapsing (equivalence classes with polarity
 tracking, dominance edges, representative expansion) lives in
-:mod:`repro.gatelevel.structure`; the :func:`collapse_faults` helper
-here survives only as a deprecated wrapper over it.
+:mod:`repro.gatelevel.structure`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.gatelevel.gates import Netlist
@@ -44,30 +42,6 @@ def all_faults(netlist: Netlist, include_dffs: bool = True) -> list[Fault]:
         out.append(Fault(gate.name, 0))
         out.append(Fault(gate.name, 1))
     return sorted(out)
-
-
-def collapse_faults(netlist: Netlist, faults: list[Fault]) -> list[Fault]:
-    """Deprecated: use :func:`repro.gatelevel.structure.collapse_map`.
-
-    Historical drop-only collapsing lost the polarity mapping through
-    inverters (a fault collapsed through a ``not`` consumer is
-    equivalent to the *opposite* polarity on the consumer's output),
-    so callers could not expand results back.  This wrapper now
-    returns the polarity-correct representative set from
-    :class:`repro.gatelevel.structure.CollapseMap` -- representatives
-    may lie outside the given list (the class member nearest the
-    outputs), which is what makes expansion exact.
-    """
-    warnings.warn(
-        "collapse_faults is deprecated; use "
-        "repro.gatelevel.structure.collapse_map for the full "
-        "CollapseMap (representatives + exact expansion)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.gatelevel.structure import collapse_map
-
-    return collapse_map(netlist).representatives(faults)
 
 
 def coverage(detected: int, total: int) -> float:

@@ -122,18 +122,15 @@ class _FaultBatch:
     ``size*nw`` words wide: ``force`` writes every site into the scratch
     before the program runs, each level carries the forcing of the
     sites it evaluates (or None), and ``force_state`` writes the next
-    state of flip-flop sites.  ``rows`` and ``pos`` bound the gate rows
-    and DFF positions the batch's cones live in (the whole design for a
-    plain kernel; one run of member blocks in a fused program), and
-    ``state`` holds the faulty present state of ``pos`` only.
+    state of flip-flop sites.  ``state`` holds every flip-flop's faulty
+    present state.
     """
 
     __slots__ = ("faults", "size", "alive", "levels", "force",
-                 "force_state", "obs_out", "obs_scan", "scan", "state",
-                 "rows", "pos")
+                 "force_state", "obs_out", "obs_scan", "state")
 
     def __init__(self, faults, levels, force, force_state, obs_out,
-                 obs_scan, scan, state, rows, pos) -> None:
+                 obs_scan, state) -> None:
         self.faults = faults
         self.size = len(faults)
         self.alive = _np.ones(self.size, dtype=bool)
@@ -142,10 +139,7 @@ class _FaultBatch:
         self.force_state = force_state  # flip-flop sites, into bnxt
         self.obs_out = obs_out        # union observation: output rows
         self.obs_scan = obs_scan      # union observation: scan DFF pos
-        self.scan = scan              # scan DFF positions in span
-        self.state = state            # (len(pos), size*nw) faulty state
-        self.rows = rows              # slice of gate rows in span
-        self.pos = pos                # slice of DFF positions in span
+        self.state = state            # (n_dffs, size*nw) faulty state
 
 
 class _Cone:
@@ -849,11 +843,6 @@ class CompiledNetlist:
     # ------------------------------------------------------------------
     # fault simulation
 
-    def _batch_span(self, sites: Sequence[int]) -> tuple[slice, slice]:
-        """Gate rows and DFF positions the cones of ``sites`` can reach:
-        the whole design (a fused program narrows it to member blocks)."""
-        return slice(0, self.n_gates), slice(0, len(self.dff_rows))
-
     def _make_batch(self, faults: Sequence[Fault], width: int, state,
                     mask) -> _FaultBatch:
         """Compile one fault batch: union-of-cones program plus
@@ -872,7 +861,6 @@ class CompiledNetlist:
         size = len(faults)
         sites = [self.index[f.net] for f in faults]
         seen = self._closure(sites, FF_SCAN)
-        rows, pos = self._batch_span(sites)
         # Fault b's forced words, and where they go in a row of the
         # (., size*nw) batch arrays: columns b*nw .. b*nw + nw - 1.
         words = _np.array([f.stuck_at for f in faults],
@@ -895,22 +883,18 @@ class CompiledNetlist:
         obs_out, obs_scan = self._observed(seen)
         # A flip-flop site captures its stuck value as next state.
         at_state = _np.array(
-            [self.dff_pos[sites[blk]] - pos.start for blk in dff_blocks],
+            [self.dff_pos[sites[blk]] for blk in dff_blocks],
             dtype=_np.int64,
         )[:, None] * (size * nw) + cols[dff_blocks]
-        # Scan reload only matters for state rows that can be observed
-        # or re-read -- both in-span -- so clip it to the span.
-        sp = self.scan_pos
-        scan = sp[(sp >= pos.start) & (sp < pos.stop)]
-        npos = pos.stop - pos.start
+        ndff = len(self.dff_rows)
         state = _np.broadcast_to(
-            state[pos].reshape(npos, state.shape[1] // nw, nw),
-            (npos, size, nw),
-        ).reshape(npos, size * nw)
+            state.reshape(ndff, state.shape[1] // nw, nw),
+            (ndff, size, nw),
+        ).reshape(ndff, size * nw)
         return _FaultBatch(
             list(faults), levels, (at.ravel(), words.ravel()),
             (at_state.ravel(), words[dff_blocks].ravel()), obs_out,
-            obs_scan, scan, state, rows, pos,
+            obs_scan, state,
         )
 
     def _batch_cycle(self, batch: _FaultBatch, VS, mask_b, VG, gnxt,
@@ -921,30 +905,25 @@ class CompiledNetlist:
         ``detected`` and leave ``batch.alive``.
 
         A detected block still evaluates until the batch is repacked or
-        dies, but nothing reads its columns again.  Scratch refresh and
-        state propagation touch only the batch's span; rows outside it
-        hold stale scratch, which the batch's cone program neither
-        reads nor observes.
+        dies, but nothing reads its columns again.
         """
         B = batch.size
-        rows, pos = batch.rows, batch.pos
-        VS.reshape(self.n_gates, B, nw)[rows] = VG[rows, None, :]
-        if pos.stop > pos.start:
-            VS[self.dff_rows[pos]] = batch.state
+        VS.reshape(self.n_gates, B, nw)[:] = VG[:, None, :]
+        VS[self.dff_rows] = batch.state
         flat = VS.reshape(-1)
         flat[batch.force[0]] = batch.force[1]
         for instrs, fix in batch.levels:
             self._run_program(VS, instrs, mask_b)
             if fix is not None:
                 flat[fix[0]] = fix[1]
-        bnxt = VS[self.dff_d_rows[pos]]
+        bnxt = VS[self.dff_d_rows]
         bnxt.reshape(-1)[batch.force_state[0]] = batch.force_state[1]
         hit = _np.zeros(B, dtype=bool)
         if len(batch.obs_out):
             hit |= (VS[batch.obs_out].reshape(-1, B, nw)
                     != VG[batch.obs_out, None, :]).any(axis=(0, 2))
         if len(batch.obs_scan):
-            hit |= (bnxt[batch.obs_scan - pos.start].reshape(-1, B, nw)
+            hit |= (bnxt[batch.obs_scan].reshape(-1, B, nw)
                     != gnxt[batch.obs_scan, None, :]).any(axis=(0, 2))
         alive = batch.alive
         self._pattern_cycles += width * int(_np.count_nonzero(alive))
@@ -955,31 +934,24 @@ class CompiledNetlist:
         # Scan reload: scanned state follows the good machine.  A scan FF
         # carrying the fault itself needs no exception: a site is forced
         # again right after state loads, so its stored state is unread.
-        if len(batch.scan):
-            bnxt.reshape(-1, B, nw)[batch.scan - pos.start] = \
-                gnxt[batch.scan, None, :]
+        sp = self.scan_pos
+        if len(sp):
+            bnxt.reshape(-1, B, nw)[sp] = gnxt[sp, None, :]
         batch.state = bnxt
 
-    def _repack(self, batches: Sequence[_FaultBatch], good_state,
-                per: int, width: int, mask) -> list[_FaultBatch]:
+    def _repack(self, batches: Sequence[_FaultBatch], per: int,
+                width: int, mask) -> list[_FaultBatch]:
         """The live faults of ``batches`` rebuilt into batches of
-        ``per``, in site order, each carrying its faulty state.
-
-        A batch propagates state only inside its span, so outside it a
-        survivor's state is the good machine's (``good_state``), and
-        its own faulty state is laid over that inside the old span.
-        """
+        ``per``, in site order, each carrying its faulty state."""
         nw = _n_words(width)
+        ndff = len(self.dff_rows)
         faults: list[Fault] = []
         states = []
         for b in batches:
             live = _np.flatnonzero(b.alive)
             faults += [b.faults[i] for i in live.tolist()]
-            npos = b.pos.stop - b.pos.start
-            s = _np.tile(good_state, (1, len(live)))
-            s[b.pos] = b.state.reshape(npos, b.size, nw)[:, live].reshape(
-                npos, len(live) * nw)
-            states.append(s)
+            states.append(b.state.reshape(ndff, b.size, nw)[:, live]
+                          .reshape(ndff, len(live) * nw))
         state = _np.concatenate(states, axis=1)
         return [
             self._make_batch(faults[i:i + per], width,
@@ -1055,8 +1027,7 @@ class CompiledNetlist:
             live = sum(int(_np.count_nonzero(b.alive)) for b in batches)
             if (cycle + 1 < len(pw_seq) and live
                     <= REPACK_LIVE_SHARE * sum(b.size for b in batches)):
-                batches = self._repack(batches, good_state, per, width,
-                                       mask)
+                batches = self._repack(batches, per, width, mask)
         return detected
 
 

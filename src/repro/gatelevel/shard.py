@@ -9,9 +9,7 @@ the engine's ``shared`` payloads once on a
 argument; the worker's :func:`open_shard` fires the ``<label>:<i>``
 chaos checkpoint and resolves them.  The plane's transport decides
 whether a reference names a shared-memory segment or carries the
-payload inline (pickle), so one worker serves both.  The fused
-multi-design path (:mod:`repro.gatelevel.batch`) partitions jobs, not
-faults, and runs its own arguments through :func:`dispatch`.
+payload inline (pickle), so one worker serves both.
 """
 
 from __future__ import annotations
@@ -45,8 +43,9 @@ def shard_map(
     argument.  ``worker`` is a module-level function that starts with
     :func:`open_shard`; ``label`` names its chaos checkpoints
     ``<label>:<i>``.  Returns the workers' results in chunk order.
+    The dispatch cost and any recovery events land in the flow metrics.
     """
-    from repro.flow import shm
+    from repro.flow import resilience, shm
     from repro.gatelevel import kernel
 
     digest, blob = kernel.netlist_blob(netlist)
@@ -61,7 +60,12 @@ def shard_map(
         }
         args = [(label, i, digest, net_ref, block, refs, params)
                 for i, block in enumerate(blocks)]
-        return dispatch(worker, args, plane, label)
+        _record_payload_bytes(args, plane)
+        results, info = resilience.run_sharded(
+            worker, args, max_workers=len(args), label=label,
+        )
+    _record_shard_info(info)
+    return results
 
 
 def open_shard(args) -> tuple[str, Netlist, list[Fault], dict, dict]:
@@ -79,20 +83,6 @@ def open_shard(args) -> tuple[str, Netlist, list[Fault], dict, dict]:
     netlist = resolve_netlist(digest, lambda: shm.fetch(net_ref))
     shared = {name: shm.fetch(ref) for name, ref in refs.items()}
     return digest, netlist, _decode_faults(netlist, block), shared, params
-
-
-def dispatch(worker: Callable[[Any], Any], args: Sequence,
-             plane, label: str) -> list[Any]:
-    """Run one shard per argument while ``plane`` is open, recording
-    the dispatch cost and any recovery events in the flow metrics."""
-    from repro.flow import resilience
-
-    _record_payload_bytes(args, plane)
-    results, info = resilience.run_sharded(
-        worker, args, max_workers=len(args), label=label,
-    )
-    _record_shard_info(info)
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -82,20 +82,6 @@ KNOWN_KNOBS: dict[str, tuple[str, str, str]] = {
         "memory segments with tiny pickled references, or classic "
         "whole-payload pickles through the pool pipe",
     ),
-    "REPRO_KERNEL_BATCH": (
-        "flag: 1|0", "1",
-        "fused multi-design kernel execution: pack compatible "
-        "fault-simulation jobs into one block-diagonal program "
-        "(byte-identical to per-design serial runs, just faster on "
-        "many small designs)",
-    ),
-    "REPRO_SERVE_BATCH_WINDOW": (
-        "float >= 0 (seconds)", "0.0",
-        "serve scheduler coalescing window: a dispatched batchable "
-        "job waits this long for compatible queued jobs, then the "
-        "group runs as one fused kernel invocation (0 disables "
-        "coalescing)",
-    ),
     "REPRO_WORKER_CACHE_SIZE": (
         "int >= 1", "8",
         "netlists and decoded shard payloads each worker process keeps "

@@ -165,8 +165,6 @@ class Counters:
     runs: int = 0
     completed: int = 0
     failed: int = 0
-    batches: int = 0
-    batch_fused: int = 0
     by_tenant: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
@@ -177,8 +175,6 @@ class Counters:
             "runs": self.runs,
             "completed": self.completed,
             "failed": self.failed,
-            "batches": self.batches,
-            "batch_fused": self.batch_fused,
             "by_tenant": dict(self.by_tenant),
         }
 
@@ -197,11 +193,7 @@ class Scheduler:
         retry_after: float = 1.0,
         weights: Mapping[str, float] | None = None,
         flows: Mapping[str, Callable] | None = None,
-        batch_window: float | None = None,
-        batchable: Mapping[str, tuple[Callable, Callable]] | None = None,
     ) -> None:
-        from repro.gatelevel.batch import resolve_batch_window
-
         self.cache = cache
         self.pools = pools
         self.workers = max(1, workers)
@@ -213,11 +205,6 @@ class Scheduler:
             from repro.flow.flows import FLOWS
             flows = FLOWS
         self.flows = flows
-        self.batch_window = resolve_batch_window(batch_window)
-        if batchable is None:
-            from repro.flow.flows import BATCHABLE
-            batchable = BATCHABLE
-        self.batchable = dict(batchable)
 
         self.jobs_by_id: dict[str, Job] = {}
         self.inflight: dict[str, Execution] = {}
@@ -380,95 +367,29 @@ class Scheduler:
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-            group = await self._coalesce(exe)
-            for e in group:
-                self.dispatch_log.append(e.key)
-                e.state = "running"
-                e.started_at = time.time()
-                self.counters.runs += 1
+            self.dispatch_log.append(exe.key)
+            exe.state = "running"
+            exe.started_at = time.time()
+            self.counters.runs += 1
             try:
-                if len(group) == 1:
-                    exe.result = await loop.run_in_executor(
-                        self._run_pool, self._run, exe
-                    )
-                else:
-                    _key_fn, run_fn = self.batchable[exe.flow_name]
-                    results = await loop.run_in_executor(
-                        self._run_pool, self._run_batch, group, run_fn
-                    )
-                    for e, res in zip(group, results):
-                        e.result = res
-                    self.counters.batches += 1
-                    self.counters.batch_fused += len(group)
-                for e in group:
-                    e.state = "done"
-                    self.counters.completed += 1
+                exe.result = await loop.run_in_executor(
+                    self._run_pool, self._run, exe
+                )
+                exe.state = "done"
+                self.counters.completed += 1
             except asyncio.CancelledError:
-                for e in group:
-                    e.state = "failed"
-                    e.error = "server shutdown"
+                exe.state = "failed"
+                exe.error = "server shutdown"
                 raise
             except Exception as exc:
-                for e in group:
-                    e.state = "failed"
-                    e.error = format_failure(exc)
-                    self.counters.failed += 1
+                exe.state = "failed"
+                exe.error = format_failure(exc)
+                self.counters.failed += 1
             finally:
-                for e in group:
-                    e.finished_at = time.time()
-                    if self.inflight.get(e.key) is e:
-                        del self.inflight[e.key]
-                    e.done.set()
-
-    async def _coalesce(self, exe: Execution) -> list[Execution]:
-        """The dispatch group for ``exe``: itself plus every compatible
-        queued execution present once the coalescing window closes.
-
-        Only flows registered in :data:`repro.flow.flows.BATCHABLE`
-        coalesce, and only with executions whose batch key (params
-        minus the design under test) agrees -- incompatible
-        submissions are left queued untouched.  With ``batch_window``
-        zero (the default) this is a no-op and dispatch is exactly the
-        pre-batching behaviour.
-        """
-        if self.batch_window <= 0 or exe.flow_name not in self.batchable:
-            return [exe]
-        key_fn, _run_fn = self.batchable[exe.flow_name]
-        try:
-            bkey = key_fn(exe.params)
-        except Exception:
-            return [exe]
-        await asyncio.sleep(self.batch_window)
-        group = [exe]
-        for tenant, queue in self.queues.items():
-            remaining: deque[Execution] = deque()
-            for cand in queue:
-                joined = False
-                if cand.flow_name == exe.flow_name:
-                    try:
-                        joined = key_fn(cand.params) == bkey
-                    except Exception:
-                        joined = False
-                if joined:
-                    group.append(cand)
-                else:
-                    remaining.append(cand)
-            self.queues[tenant] = remaining
-        return group
-
-    def _run_batch(self, group: list[Execution],
-                   run_fn: Callable) -> list[dict[str, Any]]:
-        """Execute one fused group (runner thread)."""
-        results = run_fn(
-            [e.params for e in group],
-            cache=self.cache, pools=self.pools, jobs=self.jobs,
-        )
-        if len(results) != len(group):  # pragma: no cover - contract
-            raise RuntimeError(
-                f"batch runner returned {len(results)} results for "
-                f"{len(group)} executions"
-            )
-        return results
+                exe.finished_at = time.time()
+                if self.inflight.get(exe.key) is exe:
+                    del self.inflight[exe.key]
+                exe.done.set()
 
     def _run(self, exe: Execution) -> dict[str, Any]:
         """Execute one recipe on the warm engine (runner thread)."""
@@ -503,6 +424,4 @@ class Scheduler:
             "queue_limit": self.queue_limit,
             "weights": dict(self.weights),
             "virtual_time": self.vtime,
-            "batch_window": self.batch_window,
-            "batchable_flows": sorted(self.batchable),
         }

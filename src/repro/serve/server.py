@@ -67,7 +67,6 @@ class Server:
         cache_dir: str | None = None,
         registry: WarmRegistry | None = None,
         flows=None,
-        batch_window: float | None = None,
     ) -> None:
         self.host = host if host is not None else knobs.env_str(
             "REPRO_SERVE_HOST", "127.0.0.1")
@@ -102,7 +101,6 @@ class Server:
             retry_after=retry_after,
             weights=weights,
             flows=flows,
-            batch_window=batch_window,
         )
         self.started_at = time.time()
         self._server: asyncio.AbstractServer | None = None
@@ -119,7 +117,7 @@ class Server:
         # Fork the warm pool's workers now, while only the event loop
         # is running.  ProcessPoolExecutor forks lazily on first submit;
         # once request threads exist, that fork can inherit an importlib
-        # module lock held by a concurrent batch run mid-lazy-import and
+        # module lock held by a concurrent job run mid-lazy-import and
         # the child deadlocks on its first numpy attribute access.
         await asyncio.get_running_loop().run_in_executor(
             None, self.registry.pools.prewarm)

@@ -9,8 +9,8 @@ SCOAP engine promises Goldstein's controllability/observability
 numbers; guided PODEM promises the same detected/untestable
 classification as the unguided search.  This suite holds all of it to
 account: property-based identity over random sequential netlists, a
-hand-computed SCOAP oracle, the polarity regression the deprecated
-``collapse_faults`` shipped with, and metrics plumbing.
+hand-computed SCOAP oracle, the polarity regression the old drop-only
+collapsing shipped with, and metrics plumbing.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.flow.metrics import collect
 from repro.gatelevel.atpg import combinational_atpg
 from repro.gatelevel.bist_session import bist_fault_attribution
 from repro.gatelevel.fault_sim import fault_simulate_cycles
-from repro.gatelevel.faults import Fault, all_faults, collapse_faults
+from repro.gatelevel.faults import Fault, all_faults
 from repro.gatelevel.gates import Netlist
 from repro.gatelevel.genscale import (
     bist_wrap,
@@ -262,11 +262,11 @@ def test_scoap_numpy_matches_python(nl):
 
 
 # ---------------------------------------------------------------------------
-# the old collapse_faults polarity bug
+# the old drop-only collapsing polarity bug
 
 def test_collapse_crosses_inverters_with_flipped_polarity():
     """``a -> buf b -> not y``: a stuck-at-0 at the buffer's input is
-    the *same* fault as y stuck-at-1.  The deprecated ``collapse_faults``
+    the *same* fault as y stuck-at-1.  The old drop-only collapsing
     kept both polarities of the stem (it never flipped through the
     inverter); the CollapseMap merges them exactly."""
     nl = Netlist("chain")
@@ -280,16 +280,6 @@ def test_collapse_crosses_inverters_with_flipped_polarity():
     assert cm.rep(Fault("a", 0)) != cm.rep(Fault("a", 1))
     # six stem faults collapse to one class per polarity
     assert len(cm.representatives(all_faults(nl))) == 2
-
-
-def test_collapse_faults_wrapper_deprecated():
-    nl = Netlist("chain")
-    nl.add("a", "input")
-    nl.add("b", "buf", "a")
-    nl.add_output("b")
-    with pytest.warns(DeprecationWarning):
-        kept = collapse_faults(nl, all_faults(nl))
-    assert kept == collapse_map(nl).representatives(all_faults(nl))
 
 
 # ---------------------------------------------------------------------------

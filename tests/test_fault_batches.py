@@ -8,8 +8,7 @@ those the batches hold, rebuilds the survivors into fresh batches that
 carry their faulty state (see ``docs/fault_batches.md``).  These tests
 shrink the budget so small designs run several batches, a short tail
 batch and repacks, and check the results against the reference
-interpreter, against per-design serial runs of a fused corpus, and
-across shard counts and transports.
+interpreter and across shard counts and transports.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import pytest
 from repro.designs import build_dmachine
 from repro.flow import shm
 from repro.gatelevel import fault_sim, genscale, kernel
-from repro.gatelevel.batch import FusedProgram, SimJob, fault_simulate_many
 from repro.gatelevel.fault_sim import _fault_simulate_cycles_interp
 from repro.gatelevel.faults import Fault, all_faults
 from repro.gatelevel.kernel import CompiledNetlist, compiled, have_kernel
@@ -35,36 +33,34 @@ class _BuildLog:
     """Records the batch builds of ``cls``: ``rounds[0]`` holds the
     initial batch sizes, every later round one repack's.  At each
     repack it also notes whether a survivor carried faulty state (state
-    that differs from the good machine's) and, per new batch, the
-    spans of the old batches its survivors came from."""
+    that differs from the good machine's, which it reads from the last
+    ``good_cycle``)."""
 
     def __init__(self, monkeypatch, cls) -> None:
         self.rounds: list[list[int]] = [[]]
         self.carried = False
-        self.old_spans: list[set] = []
-        make, repack = cls._make_batch, cls._repack
+        self.good_state = None
+        make, repack, good = cls._make_batch, cls._repack, cls.good_cycle
 
         def _make_batch(prog, faults, *args):
             self.rounds[-1].append(len(faults))
             return make(prog, faults, *args)
 
-        def _repack(prog, batches, good_state, *args):
+        def good_cycle(prog, *args, **kwargs):
+            VG, self.good_state = good(prog, *args, **kwargs)
+            return VG, self.good_state
+
+        def _repack(prog, batches, *args):
             self.rounds.append([])
-            nw = good_state.shape[1]
-            span = {}
+            ndff, nw = self.good_state.shape
             for b in batches:
-                npos = b.pos.stop - b.pos.start
-                live = b.state.reshape(npos, b.size, nw)[:, b.alive]
-                if (live != good_state[b.pos, None, :]).any():
+                live = b.state.reshape(ndff, b.size, nw)[:, b.alive]
+                if (live != self.good_state[:, None, :]).any():
                     self.carried = True
-                for f, alive in zip(b.faults, b.alive):
-                    if alive:
-                        span[f] = (b.rows.start, b.rows.stop)
-            new = repack(prog, batches, good_state, *args)
-            self.old_spans += [{span[f] for f in nb.faults} for nb in new]
-            return new
+            return repack(prog, batches, *args)
 
         monkeypatch.setattr(cls, "_make_batch", _make_batch)
+        monkeypatch.setattr(cls, "good_cycle", good_cycle)
         monkeypatch.setattr(cls, "_repack", _repack)
 
 
@@ -110,36 +106,6 @@ def test_batches_and_repacks_match_interpreter(design, width,
     assert log.carried, "no faulty state crossed a repack"
     assert k._pattern_cycles == sum(
         width * (cycles if c is None else c + 1) for c in got.values()
-    )
-
-
-def test_fused_repack_across_member_spans(monkeypatch):
-    """A repacked batch that mixes survivors of differently-spanned
-    old batches must start each from the good state outside its old
-    span; stale state there shows up as false detections in the other
-    members' observation rows."""
-    monkeypatch.setattr(kernel, "BATCH_SCRATCH_WORDS", 0)
-    monkeypatch.setattr(kernel, "FAULT_BATCH", 12)
-    log = _BuildLog(monkeypatch, FusedProgram)
-    designs = [genscale.generate_netlist(40, seed=s, scan=s % 2 == 0)
-               for s in (31, 32, 33, 34)]
-    jobs = [
-        SimJob(nl, all_faults(nl),
-               genscale.random_patterns(nl, 5, seed=k, width=4), width=4)
-        for k, nl in enumerate(designs)
-    ]
-    fused = fault_simulate_many(jobs, backend="kernel", shards=1,
-                                batch=True, collapse=False)
-    serial = [
-        fault_sim.fault_simulate_cycles(
-            j.netlist, j.faults, j.pi_sequence, width=4,
-            backend="kernel", shards=1, collapse=False,
-        )
-        for j in jobs
-    ]
-    assert fused == serial
-    assert any(len(spans) >= 2 for spans in log.old_spans), (
-        "no repacked batch mixed survivors of differently-spanned batches"
     )
 
 

@@ -393,7 +393,7 @@ class TestCampaign:
 
     def test_real_oracles_small_campaign_clean(self, tmp_path):
         cfg = _config(tmp_path, inject=None, trials=3, max_gates=100,
-                      oracles=("backend", "collapse", "batch"))
+                      oracles=("backend", "collapse"))
         summary = run_campaign(cfg)
         assert summary["outcomes"]["match"] == 3
 

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.gatelevel.atpg import combinational_atpg, sim3
-from repro.gatelevel.faults import Fault, all_faults, collapse_faults, coverage
+from repro.gatelevel.faults import Fault, all_faults, coverage
 from repro.gatelevel.fault_sim import detected_faults, fault_simulate
 from repro.gatelevel.gates import Netlist
 from repro.gatelevel.seq_atpg import sequential_atpg, unroll
+from repro.gatelevel.structure import collapse_map
 
 
 def c17ish() -> Netlist:
@@ -57,7 +58,7 @@ class TestFaults:
         nl.add("y", "not", "b")
         nl.add_output("y")
         faults = all_faults(nl)
-        kept = collapse_faults(nl, faults)
+        kept = collapse_map(nl).representatives(faults)
         assert len(kept) < len(faults)
         assert Fault("y", 0) in kept
 

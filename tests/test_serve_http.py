@@ -85,6 +85,8 @@ class TestEndpoints:
             # startup prewarms the worker pool (forking lazily from a
             # request thread risks inheriting a held import lock)
             assert metrics["registry"]["pool"]["alive"] is True
+            # perfbench's traced serve runs read this counter
+            assert metrics["batch"]["fused_calls"] == 0
 
     def test_error_statuses(self, tmp_path):
         with BackgroundServer(cache_dir=str(tmp_path / "fc")) as bg:

@@ -5,8 +5,7 @@ Every ``shards=`` path in the gate-level kernels now runs on
 harness itself (retry, in-process fallback, pool rebuild, hang
 recycling), then kill or crash individual shards of real 4-shard
 ``fault_simulate_cycles`` / ``generate_tests`` /
-``bist_fault_attribution`` runs and 2-shard fused
-``fault_simulate_many`` runs, and assert the merged result is
+``bist_fault_attribution`` runs, and assert the merged result is
 byte-identical to an uninjected serial run, with the recovery visible
 in the recorded metrics.
 """
@@ -212,42 +211,3 @@ class TestBistShardLoss:
         assert sharded == serial
         assert list(sharded) == list(serial)
         assert custom.get("shard_pool_rebuilds", 0) >= 1
-
-
-# -- fused multi-design fault simulation -----------------------------------
-
-class TestBatchShardLoss:
-    @pytest.fixture(scope="class")
-    def jobs(self):
-        from repro.gatelevel import genscale
-        from repro.gatelevel.batch import SimJob
-
-        jobs = []
-        for seed in (11, 12, 13, 14):
-            nl = genscale.generate_netlist(120, seed=seed)
-            jobs.append(SimJob(nl, all_faults(nl),
-                               genscale.random_patterns(nl, 2, seed=seed),
-                               width=64))
-        return jobs
-
-    @pytest.mark.parametrize("times", [1, 2])
-    def test_killed_shard_is_byte_identical(self, tmp_path, jobs, times):
-        from repro.gatelevel.batch import fault_simulate_many
-
-        serial = [fault_simulate_cycles(
-            j.netlist, j.faults, j.pi_sequence, width=j.width,
-            backend="kernel", shards=1,
-        ) for j in jobs]
-        with chaos.active(
-            [Injection("batch_shard:1", "kill", times=times)], tmp_path
-        ):
-            with collect() as custom:
-                sharded = fault_simulate_many(
-                    jobs, backend="kernel", shards=2, batch=True
-                )
-        assert sharded == serial
-        for got, want in zip(sharded, serial):
-            assert list(got) == list(want)  # ordering too
-        assert custom.get("shard_pool_rebuilds", 0) >= 1
-        if times == 2:  # the retry dies too -> in-process rescue
-            assert custom.get("shard_fallbacks", 0) >= 1
