@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import time
 
@@ -38,6 +37,7 @@ from common import Table, conventional_flow
 from repro.cdfg import suite
 from repro.gatelevel import all_faults, expand_datapath, generate_tests
 from repro.gatelevel.kernel import have_kernel
+from repro.knobs import resolve
 
 ROOT_JSON = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_atpg.json"
@@ -86,7 +86,7 @@ def _run(netlist, faults, **config):
 
 def run_experiment(cases=None, root_json: bool = True) -> Table:
     if cases is None:
-        if os.environ.get("REPRO_BENCH_QUICK"):
+        if resolve("REPRO_BENCH_QUICK"):
             # Byte-identity gate on the smallest case only -- skip the
             # reference-engine timing sweep, keep the scoreboard alone.
             cases, root_json = QUICK_CASES, False

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import time
 
@@ -38,6 +37,7 @@ from repro.gatelevel.bist_session import (
 )
 from repro.gatelevel.faults import all_faults
 from repro.gatelevel.kernel import have_kernel
+from repro.knobs import resolve
 
 ROOT_JSON = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_bist.json"
@@ -93,7 +93,7 @@ def _run(hw, sessions, cycles, faults, backend: str, shards: int = 1):
 
 def run_experiment(cases=None, root_json: bool = True) -> Table:
     if cases is None:
-        if os.environ.get("REPRO_BENCH_QUICK"):
+        if resolve("REPRO_BENCH_QUICK"):
             # Equality gate only -- leave the committed scoreboard alone.
             cases, root_json = SMOKE_CASES, False
         else:

@@ -37,6 +37,7 @@ from repro.gatelevel.faults import all_faults
 from repro.gatelevel.kernel import have_kernel
 from repro.gatelevel.structure import structural_analysis
 from repro.gatelevel.test_generation import generate_tests
+from repro.knobs import resolve
 
 ROOT_JSON = (
     pathlib.Path(__file__).resolve().parent.parent
@@ -97,7 +98,7 @@ def _timed_atpg(nl, limit, on):
 def run_experiment(fs_cases=None, atpg_cases=None,
                    root_json: bool = True) -> Table:
     if fs_cases is None:
-        if os.environ.get("REPRO_BENCH_QUICK"):
+        if resolve("REPRO_BENCH_QUICK"):
             # Identity gate only -- leave the committed scoreboard alone.
             fs_cases, atpg_cases, root_json = FS_SMOKE, ATPG_SMOKE, False
         else:
@@ -238,7 +239,7 @@ def test_collapse(benchmark):
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     for row in table.rows:
         assert row[-1], row  # identity on every row
-    quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
+    quick = resolve("REPRO_BENCH_QUICK")
     if not quick:
         # the acceptance bar; timing-based, so full sweeps only
         assert table.fs_speedup_largest >= 1.3, table.fs_speedup_largest

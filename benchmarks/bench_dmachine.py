@@ -38,6 +38,7 @@ from repro.flow.flows import (
     dmachine_scan_row,
 )
 from repro.gatelevel.kernel import have_kernel
+from repro.knobs import resolve
 
 ROOT_JSON = (
     pathlib.Path(__file__).resolve().parent.parent
@@ -99,7 +100,7 @@ def _phase_seconds(row) -> float:
 
 def run_experiment(cases=None, root_json: bool = True) -> Table:
     if cases is None:
-        if os.environ.get("REPRO_BENCH_QUICK"):
+        if resolve("REPRO_BENCH_QUICK"):
             # CI gate only -- leave the committed scoreboard alone.
             cases, root_json = SMOKE, False
         else:
@@ -191,7 +192,7 @@ def test_dmachine(benchmark):
     if not have_kernel():
         pytest.skip("the CPU flows need the numpy kernel")
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
+    quick = resolve("REPRO_BENCH_QUICK")
     if not quick:
         # the acceptance bar: a >= 5k-gate hand-built CPU
         assert table.gates_default >= 5_000, table.gates_default

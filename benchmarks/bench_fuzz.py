@@ -31,6 +31,7 @@ from common import Table
 from repro.fuzz.campaign import CampaignConfig, load_journal, run_campaign
 from repro.fuzz.oracles import INJECTED_BUGS
 from repro.gatelevel.kernel import have_kernel
+from repro.knobs import resolve
 
 ROOT_JSON = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_fuzz.json"
@@ -84,7 +85,7 @@ def _injected_run(bug: str, policy: str, trials: int,
 
 def run_experiment(budgets=None, root_json: bool = True) -> Table:
     if budgets is None:
-        if os.environ.get("REPRO_BENCH_QUICK"):
+        if resolve("REPRO_BENCH_QUICK"):
             # CI gate only -- leave the committed scoreboard alone.
             budgets, root_json = SMOKE, False
         else:
@@ -188,7 +189,7 @@ def test_fuzz(benchmark):
         if "min_gates" in legs["linucb"]:
             assert legs["linucb"]["min_gates"] <= \
                 0.25 * legs["linucb"]["orig_gates"], (bug, legs)
-    if not os.environ.get("REPRO_BENCH_QUICK"):
+    if not resolve("REPRO_BENCH_QUICK"):
         # the acceptance bar: bandit beats uniform on >= 2 of 3 bugs
         assert table.bandit_wins >= 2, table.injected
     table.emit()

@@ -35,6 +35,7 @@ import time
 from common import Table
 from repro.flow import Flow
 from repro.flow.flows import FLOWS
+from repro.knobs import resolve
 
 ROOT_JSON = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_serve.json"
@@ -121,7 +122,7 @@ def run_experiment(quick: bool | None = None,
     from repro.serve import BackgroundServer, ServeClient
 
     if quick is None:
-        quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
+        quick = resolve("REPRO_BENCH_QUICK")
     if root_json is None:
         root_json = not quick
     trials = 2 if quick else 3

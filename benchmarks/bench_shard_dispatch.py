@@ -37,6 +37,7 @@ from repro.gatelevel import genscale
 from repro.gatelevel.bist_session import bist_fault_attribution
 from repro.gatelevel.fault_sim import fault_simulate_cycles
 from repro.gatelevel.kernel import have_kernel
+from repro.knobs import resolve
 from repro.serve.registry import WarmPoolProvider
 
 ROOT_JSON = (
@@ -96,7 +97,7 @@ def _bist_identity(nl, n_faults: int = 64) -> bool:
 
 def run_experiment(cases=None, root_json: bool = True) -> Table:
     if cases is None:
-        if os.environ.get("REPRO_BENCH_QUICK"):
+        if resolve("REPRO_BENCH_QUICK"):
             # Identity gate only -- leave the committed scoreboard alone.
             cases, root_json = SMOKE_CASES, False
         else:

@@ -35,6 +35,8 @@ import pathlib
 import sys
 import time
 
+from repro.knobs import resolve
+
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
@@ -60,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.quick:
         os.environ["REPRO_BENCH_QUICK"] = "1"
-    quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
+    quick = resolve("REPRO_BENCH_QUICK")
     names = args.only if args.only else bench_modules()
     failures: list[str] = []
     timings: dict[str, dict] = {}

@@ -48,8 +48,10 @@ import threading
 from pathlib import Path
 from typing import Any, Mapping
 
-DEFAULT_CACHE_DIR = ".flowcache"
+from repro.knobs import KNOBS, resolve
+
 CACHE_DIR_ENV = "REPRO_FLOWCACHE"
+DEFAULT_CACHE_DIR = KNOBS[CACHE_DIR_ENV].default
 _FORMAT = 1
 
 
@@ -114,9 +116,7 @@ class FlowCache:
     """Pickle-backed stage-result store under a cache directory."""
 
     def __init__(self, root: str | os.PathLike | None = None) -> None:
-        if root is None:
-            root = os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)
-        self.root = Path(root)
+        self.root = Path(resolve(CACHE_DIR_ENV, root))
         #: entries quarantined by this instance (monotone counter).
         self.corrupt_quarantined = 0
         # Re-entrant so subclasses can take it around a super() call.

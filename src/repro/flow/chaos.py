@@ -52,6 +52,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
+from repro.knobs import resolve
+
 CHAOS_ENV = "REPRO_CHAOS_PLAN"
 
 MODES = ("crash", "hang", "kill")
@@ -154,7 +156,7 @@ def checkpoint(site: str) -> None:
     processes), claims the site's next invocation index, and injects
     only while that index is below the injection's ``times``.
     """
-    path = os.environ.get(CHAOS_ENV)
+    path = resolve(CHAOS_ENV)
     if not path:
         return
     plan = _LOADED.get(path)

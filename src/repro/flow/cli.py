@@ -156,13 +156,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if (report["corrupt"] or report["quarantined"]) else 0
 
     if args.command == "knobs":
-        from repro.knobs import KNOWN_KNOBS
+        from repro.knobs import rows
 
-        rows = [(name, kind, default, desc)
-                for name, (kind, default, desc)
-                in sorted(KNOWN_KNOBS.items())]
         print(render_table(["knob", "type", "default", "what it does"],
-                           rows))
+                           rows()))
         return 0
 
     try:

@@ -50,6 +50,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
+from repro.knobs import resolve
+
 try:
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - platforms without shm support
@@ -61,10 +63,11 @@ except ImportError:  # pragma: no cover - numpy is a declared dependency
     _np = None
 
 TRANSPORT_ENV = "REPRO_SHARD_TRANSPORT"
-CACHE_SIZE_ENV = "REPRO_WORKER_CACHE_SIZE"
 
-#: canonical transport names (no aliases).
-_TRANSPORT_CHOICES: dict[str, tuple[str, ...]] = {"shm": (), "pickle": ()}
+#: netlists, structures and decoded payloads each worker process keeps
+#: cached by content hash (a warm worker compiles each design once per
+#: pool generation); read at call time, so tests can patch it.
+WORKER_CACHE_SIZE = 8
 
 #: prefix of every segment this module creates -- the leak checks in the
 #: chaos suite glob ``/dev/shm/repro_*``.
@@ -72,13 +75,6 @@ SEGMENT_PREFIX = "repro_"
 
 _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 _counter = itertools.count()
-
-
-def default_cache_size() -> int:
-    """Worker-side payload/netlist cache bound (``REPRO_WORKER_CACHE_SIZE``)."""
-    from repro.knobs import env_int
-
-    return env_int(CACHE_SIZE_ENV, 8, minimum=1)
 
 
 def payload_nbytes(obj: Any) -> int:
@@ -114,23 +110,14 @@ def shm_available() -> bool:
 
 
 def resolve_transport(transport: str | None = None) -> str:
-    """Normalise the shard transport: explicit arg > env > auto.
+    """The shard transport: ``transport`` > ``REPRO_SHARD_TRANSPORT``
+    > shm.
 
-    Auto picks ``shm`` when shared memory works here and falls back to
-    ``pickle`` otherwise; an explicit ``shm`` request also degrades
-    gracefully when the probe fails (the results are identical either
-    way, only the dispatch cost differs).
+    ``shm`` degrades to ``pickle`` wherever shared memory does not work
+    (the results are identical either way, only the dispatch cost
+    differs).
     """
-    from repro.knobs import env_choice, normalize_choice
-
-    if transport is None:
-        choice = os.environ.get(TRANSPORT_ENV, "").strip()
-        if not choice:
-            return "shm" if shm_available() else "pickle"
-        transport = env_choice(TRANSPORT_ENV, "shm", _TRANSPORT_CHOICES)
-    else:
-        transport = normalize_choice(transport, "transport",
-                                     _TRANSPORT_CHOICES)
+    transport = resolve(TRANSPORT_ENV, transport)
     if transport == "shm" and not shm_available():
         return "pickle"
     return transport
@@ -281,7 +268,7 @@ _ATTACHED: "OrderedDict[str, Any]" = OrderedDict()
 _ATTACHED_LIMIT = 64
 
 #: decoded object payloads, digest -> object, bounded by
-#: ``REPRO_WORKER_CACHE_SIZE``.
+#: :data:`WORKER_CACHE_SIZE`.
 _OBJECTS: "OrderedDict[str, Any]" = OrderedDict()
 _STATS = {"object_hits": 0, "object_misses": 0}
 _LOCK = threading.Lock()
@@ -345,8 +332,7 @@ def fetch_object(ref: ObjectRef) -> Any:
     with _LOCK:
         _STATS["object_misses"] += 1
         _OBJECTS[ref.digest] = obj
-        limit = default_cache_size()
-        while len(_OBJECTS) > limit:
+        while len(_OBJECTS) > WORKER_CACHE_SIZE:
             _OBJECTS.popitem(last=False)
     return obj
 

@@ -41,32 +41,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.gatelevel.gates import Netlist
+from repro.knobs import resolve
 
 from repro.fuzz.generator import DesignSpec
-
-#: default hard per-leg timeout (seconds); the ``REPRO_FUZZ_TIMEOUT``
-#: knob and the campaign ``--timeout`` flag override it.
-TIMEOUT_ENV = "REPRO_FUZZ_TIMEOUT"
-EXEC_ENV = "REPRO_FUZZ_EXEC"
-DEFAULT_TIMEOUT = 30.0
-
-_EXEC_CHOICES = {"pool": (), "inproc": ("in-process", "serial")}
-
-
-def resolve_timeout(timeout: float | None = None) -> float:
-    from repro.knobs import coerce_float, env_float
-
-    if timeout is None:
-        return env_float(TIMEOUT_ENV, DEFAULT_TIMEOUT, minimum=0.1)
-    return coerce_float(timeout, "timeout", minimum=0.1)
-
-
-def resolve_exec_mode(mode: str | None = None) -> str:
-    from repro.knobs import env_choice, normalize_choice
-
-    if mode is None:
-        return env_choice(EXEC_ENV, "pool", _EXEC_CHOICES)
-    return normalize_choice(mode, "exec_mode", _EXEC_CHOICES)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +401,8 @@ class LegRunner:
 
     def __init__(self, mode: str | None = None,
                  timeout: float | None = None) -> None:
-        self.mode = resolve_exec_mode(mode)
-        self.timeout = resolve_timeout(timeout)
+        self.mode = resolve("REPRO_FUZZ_EXEC", mode)
+        self.timeout = resolve("REPRO_FUZZ_TIMEOUT", timeout)
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
 
     # -- lifecycle ------------------------------------------------------

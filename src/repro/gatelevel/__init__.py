@@ -19,11 +19,7 @@ from repro.gatelevel.fault_sim import (
 )
 from repro.gatelevel.kernel import CompiledNetlist, compiled, have_kernel
 from repro.gatelevel.expand import expand_datapath, expand_composite
-from repro.gatelevel.atpg import (
-    combinational_atpg,
-    ATPGResult,
-    resolve_atpg_backend,
-)
+from repro.gatelevel.atpg import combinational_atpg, ATPGResult
 from repro.gatelevel.seq_atpg import sequential_atpg, SequentialATPGResult
 from repro.gatelevel.random_patterns import (
     random_pattern_coverage,
@@ -55,8 +51,6 @@ from repro.gatelevel.structure import (
     Structure,
     atpg_fault_order,
     collapse_map,
-    resolve_collapse,
-    resolve_guidance,
     scoap,
     structural_analysis,
     structure_stats,
@@ -87,7 +81,6 @@ __all__ = [
     "expand_composite",
     "combinational_atpg",
     "ATPGResult",
-    "resolve_atpg_backend",
     "sequential_atpg",
     "SequentialATPGResult",
     "random_pattern_coverage",
@@ -113,8 +106,6 @@ __all__ = [
     "Structure",
     "atpg_fault_order",
     "collapse_map",
-    "resolve_collapse",
-    "resolve_guidance",
     "scoap",
     "structural_analysis",
     "structure_stats",

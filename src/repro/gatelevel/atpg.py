@@ -40,32 +40,9 @@ from weakref import WeakKeyDictionary
 from repro.gatelevel.faults import Fault
 from repro.gatelevel.gates import Netlist
 from repro.gatelevel.structure import INF as _SCOAP_INF
-from repro.gatelevel.structure import resolve_guidance
+from repro.knobs import resolve
 
 X = None
-
-BACKEND_ENV = "REPRO_ATPG_BACKEND"
-
-
-#: canonical ATPG engine names and their accepted aliases.
-_ATPG_BACKEND_CHOICES = {
-    "event": (),
-    "reference": ("ref", "interp", "interpreter"),
-}
-
-
-def resolve_atpg_backend(backend: str | None = None) -> str:
-    """Normalise an ATPG backend choice: explicit arg > env > event.
-
-    Validated through :mod:`repro.knobs`, so a typo in
-    ``REPRO_ATPG_BACKEND`` raises one actionable line up front instead
-    of a bare ``ValueError`` inside a shard worker.
-    """
-    from repro.knobs import env_choice, normalize_choice
-
-    if backend is None:
-        return env_choice(BACKEND_ENV, "event", _ATPG_BACKEND_CHOICES)
-    return normalize_choice(backend, "backend", _ATPG_BACKEND_CHOICES)
 
 _NONCONTROLLING = {"and": 1, "nand": 1, "or": 0, "nor": 0}
 _INVERTING = {"not", "nand", "nor", "xnor"}
@@ -191,24 +168,24 @@ def combinational_atpg(
     ``backend`` selects the search-state engine (see module docstring);
     both engines return identical :class:`ATPGResult`\\ s.
 
-    With ``guidance`` (default: the ``REPRO_ATPG_GUIDANCE`` knob, on)
-    the backtrace picks the easiest-to-set candidate by SCOAP
-    controllability instead of the first live one, which steers the
-    search away from hard-to-justify branches; classification
-    (detected / untestable) is search-order independent, only the
-    returned vector and effort counts may differ.  ``structure``
+    With ``guidance`` (default on) the backtrace picks the
+    easiest-to-set candidate by SCOAP controllability instead of the
+    first live one, which steers the search away from hard-to-justify
+    branches; classification (detected / untestable) is search-order
+    independent, only the returned vector and effort counts may
+    differ.  ``structure``
     supplies a precomputed :class:`repro.gatelevel.structure.Structure`
     (shard workers resolve it off the payload plane); when omitted the
     cached per-netlist analysis is used.
     """
-    backend = resolve_atpg_backend(backend)
+    backend = resolve("REPRO_ATPG_BACKEND", backend)
     ctx = _context(netlist)
     if observe is None:
         observe = ctx.observe
     if control is None:
         control = ctx.control
     scoap = None
-    if resolve_guidance(guidance):
+    if guidance is None or guidance:
         if structure is None:
             from repro.gatelevel.structure import structural_analysis
 

@@ -42,6 +42,10 @@ from repro.gatelevel.faults import Fault, all_faults
 from repro.gatelevel.gates import Netlist
 from repro.gatelevel.simulate import parallel_simulate
 from repro.hls.datapath import Datapath
+from repro.knobs import resolve
+
+#: below this many faults a process pool costs more than it saves
+MIN_FAULTS_PER_SHARD = 16
 
 
 @dataclass(frozen=True)
@@ -239,32 +243,24 @@ def bist_fault_attribution(
     interpreter backend re-runs the session once per fault (the
     equivalence reference).  ``shards`` (or ``REPRO_FAULTSIM_SHARDS``)
     splits the fault list across worker processes; fault independence
-    makes the contiguous-chunk merge byte-identical to a serial run.
+    makes the merge byte-identical to a serial run.
 
-    ``collapse`` (``REPRO_FAULT_COLLAPSE``, default on) attributes one
-    representative per structural equivalence class and fans the
-    ``(session, checkpoint)`` result back out -- exact, because
-    collapsing never crosses a flip-flop and the signature bits are
-    flip-flop states, so equivalent faults corrupt every signature
-    identically.
+    ``collapse`` (default on) attributes one representative per
+    structural equivalence class and fans the ``(session, checkpoint)``
+    result back out -- exact, because collapsing never crosses a
+    flip-flop and the signature bits are flip-flop states, so
+    equivalent faults corrupt every signature identically.
     """
-    from repro.gatelevel.fault_sim import (
-        MIN_FAULTS_PER_SHARD,
-        resolve_backend,
-        resolve_shards,
-    )
-    from repro.gatelevel.structure import (
-        collapse_map,
-        record_collapse_metrics,
-        resolve_collapse,
-    )
+    from repro.gatelevel.fault_sim import resolve_backend
+    from repro.gatelevel.shard import plan
+    from repro.gatelevel.structure import collapse_map, record_collapse_metrics
 
     if sessions is None:
         sessions = schedule_sessions(list(hardware.envs))
     sessions = [list(units) for units in sessions]
     if faults is None:
         faults = all_faults(hardware.netlist)
-    if resolve_collapse(collapse):
+    if collapse is None or collapse:
         cmap = collapse_map(hardware.netlist)
         reps = cmap.representatives(faults)
         if len(reps) < len(faults):
@@ -278,11 +274,12 @@ def bist_fault_attribution(
     marks = (sorted({int(c) for c in checkpoints})
              if checkpoints is not None else _default_checkpoints(cycles))
     backend = resolve_backend(backend)
-    shards = resolve_shards(shards)
-    if shards > 1 and len(faults) >= 2 * MIN_FAULTS_PER_SHARD:
+    chunks = plan(hardware.netlist, faults,
+                  resolve("REPRO_FAULTSIM_SHARDS", shards),
+                  MIN_FAULTS_PER_SHARD)
+    if chunks:
         return _attribution_sharded(
-            hardware, sessions, faults, marks, backend,
-            min(shards, len(faults) // MIN_FAULTS_PER_SHARD),
+            hardware, sessions, faults, chunks, marks, backend,
         )
     configs = [
         session_configuration(hardware, units) for units in sessions
@@ -353,13 +350,14 @@ def _attribution_sharded(
     hardware: BISTHardware,
     sessions: Sequence[Sequence[str]],
     faults: Sequence[Fault],
+    chunks: Sequence[Sequence[Fault]],
     marks: Sequence[int],
     backend: str,
-    shards: int,
 ) -> dict[Fault, tuple[int, int] | None]:
-    """Fault-word sharding with deterministic merge: contiguous fault
-    chunks, per-fault independence makes any partition exact, and the
-    result dict is rebuilt in the caller's order.
+    """Fault-word sharding with deterministic merge: the planned fault
+    chunks (:func:`repro.gatelevel.shard.plan`), per-fault independence
+    makes any partition exact, and the result dict is rebuilt in the
+    caller's order.
 
     Runs on :func:`repro.gatelevel.shard.shard_map`, which ships the
     netlist by content hash; the hardware record travels without it.
@@ -367,11 +365,10 @@ def _attribution_sharded(
     in-process; the merge stays byte-identical and the fallback shows
     up in flow metrics.
     """
-    from repro.gatelevel.shard import shard_map, split
+    from repro.gatelevel.shard import shard_map
 
     results = shard_map(
-        _attribution_shard_worker, hardware.netlist,
-        split(faults, shards), "bist_shard",
+        _attribution_shard_worker, hardware.netlist, chunks, "bist_shard",
         # replace() rebuilds through __init__, dropping the lazy
         # _signature_bits cache, so the pickled record (and hence the
         # worker-side object-cache digest) is content-determined.

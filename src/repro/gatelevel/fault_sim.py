@@ -26,51 +26,24 @@ from typing import Mapping, Sequence
 from repro.flow.metrics import record_metric
 from repro.gatelevel.faults import Fault
 from repro.gatelevel.gates import Netlist
+from repro.gatelevel.shard import plan
 from repro.gatelevel.simulate import parallel_simulate
-from repro.gatelevel.structure import (
-    collapse_map,
-    record_collapse_metrics,
-    resolve_collapse,
-)
+from repro.gatelevel.structure import collapse_map, record_collapse_metrics
+from repro.knobs import resolve
 
-BACKEND_ENV = "REPRO_FAULTSIM_BACKEND"
-SHARDS_ENV = "REPRO_FAULTSIM_SHARDS"
 #: below this many faults a process pool costs more than it saves
 MIN_FAULTS_PER_SHARD = 16
 
 
-#: canonical backend names and their accepted aliases.
-_BACKEND_CHOICES = {
-    "kernel": (),
-    "interp": ("interpreter", "reference"),
-}
-
-
 def resolve_backend(backend: str | None = None) -> str:
-    """Normalise a backend choice: explicit arg > env > kernel.
-
-    Bad values -- from either source -- raise a one-line
-    :class:`repro.knobs.KnobError` naming the knob, instead of a bare
-    ``ValueError`` deep inside a worker process.
-    """
+    """The fault-simulation engine: ``backend`` >
+    ``REPRO_FAULTSIM_BACKEND`` > kernel, and the interpreter wherever
+    the kernel cannot run (no numpy)."""
     from repro.gatelevel import kernel
-    from repro.knobs import env_choice, normalize_choice
 
-    if backend is None:
-        backend = env_choice(BACKEND_ENV, "kernel", _BACKEND_CHOICES)
-    else:
-        backend = normalize_choice(backend, "backend", _BACKEND_CHOICES)
-    if backend == "interp":
+    if resolve("REPRO_FAULTSIM_BACKEND", backend) == "interp":
         return "interp"
     return "kernel" if kernel.have_kernel() else "interp"
-
-
-def resolve_shards(shards: int | None = None) -> int:
-    from repro.knobs import coerce_int, env_int
-
-    if shards is None:
-        return env_int(SHARDS_ENV, 1, minimum=1)
-    return coerce_int(shards, "shards", minimum=1)
 
 
 def _observable_difference(
@@ -136,18 +109,18 @@ def fault_simulate_cycles(
     first detection); only the amount of work for fully-detected fault
     lists differs.
 
-    With ``collapse`` (default: the ``REPRO_FAULT_COLLAPSE`` knob, on)
-    only one representative per structural equivalence class is
-    simulated and the per-class result is fanned back out -- exact, not
-    approximate, because equivalent faults produce identical machines
-    (see :mod:`repro.gatelevel.structure`).
+    With ``collapse`` (default on) only one representative per
+    structural equivalence class is simulated and the per-class result
+    is fanned back out -- exact, not approximate, because equivalent
+    faults produce identical machines (see
+    :mod:`repro.gatelevel.structure`).
 
     Returns fault -> first detecting cycle index (None if undetected),
     in the order the faults were given.
     """
     backend = resolve_backend(backend)
-    shards = resolve_shards(shards)
-    if resolve_collapse(collapse):
+    shards = resolve("REPRO_FAULTSIM_SHARDS", shards)
+    if collapse is None or collapse:
         cmap = collapse_map(netlist)
         reps = cmap.representatives(faults)
         if len(reps) < len(faults):
@@ -159,11 +132,11 @@ def fault_simulate_cycles(
                 shards=shards, collapse=False,
             )
             return cmap.expand(res, list(faults))
-    if shards > 1 and len(faults) >= 2 * MIN_FAULTS_PER_SHARD:
+    chunks = plan(netlist, faults, shards, MIN_FAULTS_PER_SHARD)
+    if chunks:
         return _fault_simulate_sharded(
-            netlist, faults, pi_sequence, width, initial_state,
+            netlist, faults, chunks, pi_sequence, width, initial_state,
             drop_detected, backend,
-            min(shards, len(faults) // MIN_FAULTS_PER_SHARD),
         )
     t0 = time.perf_counter()
     if backend == "kernel":
@@ -195,24 +168,6 @@ def _record_pps(pattern_cycles: int, seconds: float, shard: int | None = None) -
 
 # ---------------------------------------------------------------------------
 # fault-parallel sharding
-
-def _deal_faults(netlist: Netlist, faults: Sequence[Fault],
-                 shards: int) -> list[list[Fault]]:
-    """``faults`` dealt round-robin to ``shards`` in topological-row
-    order: shard *i* gets every ``shards``-th fault from the *i*-th.
-
-    A fault's cost follows the part of the design its cone covers, so
-    dealing gives every shard an even share of each part, where
-    contiguous chunks of the caller's list can differ in cost.  Faults
-    on unknown nets sort first.  Without the kernel (no numpy) only the
-    stuck values order the deal; any partition is exact.
-    """
-    from repro.gatelevel import kernel
-
-    index = kernel.compiled(netlist).index if kernel.have_kernel() else {}
-    ranked = sorted(faults, key=lambda f: (index.get(f.net, -1), f.stuck_at))
-    return [ranked[i::shards] for i in range(shards)]
-
 
 def _shard_worker(args):
     from repro.gatelevel.shard import open_shard
@@ -252,21 +207,21 @@ _shard_worker_shm = _shard_worker
 def _fault_simulate_sharded(
     netlist: Netlist,
     faults: Sequence[Fault],
+    chunks: Sequence[Sequence[Fault]],
     pi_sequence: Sequence[Mapping[str, int]],
     width: int,
     initial_state: Mapping[str, int] | None,
     drop_detected: bool,
     backend: str,
-    shards: int,
 ) -> dict[Fault, int | None]:
-    """Split the fault list across worker processes; deterministic merge.
+    """Run the planned fault ``chunks`` across worker processes;
+    deterministic merge.
 
-    Faults are dealt round-robin in topological-row order
-    (:func:`_deal_faults`; fault independence makes any partition
-    exact, and dealing evens out the shards' cost); the merged dict is
-    rebuilt in the caller's fault order, so a sharded run is
-    byte-identical to a serial one.  The kernel backend ships the
-    pattern sequence packed into words, published once.
+    Fault independence makes any partition exact
+    (:func:`repro.gatelevel.shard.plan`); the merged dict is rebuilt
+    in the caller's fault order, so a sharded run is byte-identical to
+    a serial one.  The kernel backend ships the pattern sequence
+    packed into words, published once.
 
     Dispatch runs on :func:`repro.gatelevel.shard.shard_map`: payloads
     travel over the transport picked by ``REPRO_SHARD_TRANSPORT``, and
@@ -285,8 +240,7 @@ def _fault_simulate_sharded(
     else:
         pi = list(pi_sequence)
     results = shard_map(
-        _shard_worker, netlist, _deal_faults(netlist, faults, shards),
-        "faultsim_shard",
+        _shard_worker, netlist, chunks, "faultsim_shard",
         shared={"pi": pi,
                 "state": dict(initial_state) if initial_state else None},
         width=width, drop_detected=drop_detected, backend=backend,

@@ -195,6 +195,26 @@ def _group_index(program: Sequence[tuple], level):
     return program, row_flat, flat_group, flat, group_level
 
 
+def _masked_fix(keys, clear, put):
+    """Bit fixes merged per flat array index: ``(keys, keep, put)`` for
+    :func:`_apply_fix`, or ``None`` when there are none.  Several fixes
+    may share an index (faults in one word of one row)."""
+    if not len(keys):
+        return None
+    keys, inv = _np.unique(keys, return_inverse=True)
+    merged = _np.zeros((2, len(keys)), dtype=_np.uint64)
+    _np.bitwise_or.at(merged[0], inv, clear)
+    _np.bitwise_or.at(merged[1], inv, put)
+    return keys, ~merged[0], merged[1]
+
+
+def _apply_fix(flat, fix) -> None:
+    """``flat[keys] = flat[keys] & keep | put``: every fix at once."""
+    if fix is not None:
+        keys, keep, put = fix
+        flat[keys] = flat[keys] & keep | put
+
+
 class CompiledNetlist:
     """A :class:`Netlist` levelized into a flat numpy program."""
 
@@ -288,7 +308,6 @@ class CompiledNetlist:
         for row, scan in zip(dff_rows, scan_flags):
             self._ff_kind[row] = FF_SCAN if scan else FF_ANY
         self._cones: dict[int, _Cone] = {}
-        self._level_program_cache: list[tuple[int, list]] | None = None
 
     # ------------------------------------------------------------------
     # word packing
@@ -620,32 +639,12 @@ class CompiledNetlist:
     # ------------------------------------------------------------------
     # fault-parallel sequential simulation
 
-    def _level_program(self) -> list[tuple[int, list]]:
-        """:attr:`program` regrouped as ``[(level, [instructions])]``.
-
-        The fault-parallel sequential path re-forces fault columns once
-        per level, so it wants level boundaries rather than the flat
-        (level, opcode) stream.  Built once per compile.
-        """
-        cached = self._level_program_cache
-        if cached is None:
-            cached = []
-            for instr in self.program:
-                lvl = int(self.level[instr[1][0]])
-                if not cached or cached[-1][0] != lvl:
-                    cached.append((lvl, []))
-                cached[-1][1].append(instr)
-            self._level_program_cache = cached
-        return cached
-
     def sequential_fault_detect(
         self,
         faults: Sequence[Fault],
         pi_values: Mapping[str, int],
         checkpoints: Sequence[int],
         observe: Sequence[str],
-        forced: Mapping[str, int] | None = None,
-        initial_state: Mapping[str, int] | None = None,
         columns: int | None = None,
     ) -> dict[Fault, int | None]:
         """Free-run every fault's full sequential machine **at once**.
@@ -676,23 +675,23 @@ class CompiledNetlist:
         obs_pos = _np.array(sorted(pos), dtype=_np.int64)
         if not marks or not known or not len(obs_pos):
             return result
+        levels = self._kept_levels(range(self.n_gates))
         per_batch = max(1, int(columns or SEQ_FAULT_COLUMNS) - 1)
         for start in range(0, len(known), per_batch):
             self._seq_fault_batch(
                 known[start:start + per_batch], pi_values, marks,
-                obs_pos, forced, initial_state, result,
+                obs_pos, levels, result,
             )
         return result
 
-    def _seq_fault_batch(self, batch, pi_values, marks, obs_pos, forced,
-                         initial_state, result) -> None:
+    def _seq_fault_batch(self, batch, pi_values, marks, obs_pos, levels,
+                         result) -> None:
         """One packed free-run: golden in column 0, fault *b* in column
         ``b + 1``; first-detection checkpoints land in ``result``."""
         nbits = len(batch) + 1
         nw = _n_words(nbits)
         all1 = _np.uint64(0xFFFFFFFFFFFFFFFF)
         ones = _np.full(nw, all1)
-        zeros = _np.zeros(nw, dtype=_np.uint64)
 
         # Broadcast packing: every column runs the same session, so a
         # pin held at 1 is all-ones across the whole word vector.
@@ -701,90 +700,46 @@ class CompiledNetlist:
             if pi_values.get(name, 0) & 1:
                 pw[k] = ones
         state = _np.zeros((len(self.dff_names), nw), dtype=_np.uint64)
-        if initial_state:
-            for p, name in enumerate(self.dff_names):
-                if initial_state.get(name, 0) & 1:
-                    state[p] = ones
 
-        # Session-level pin forcing (broadcast, golden included),
-        # applied with good_cycle's level-completion semantics.
-        forced_by_level: dict[int, list[tuple[int, object]]] = {}
-        forced_state: list[tuple[int, object]] = []
-        if forced:
-            for name, v in forced.items():
-                row = self.index.get(name)
-                if row is None:
-                    continue
-                words = ones if v & 1 else zeros
-                forced_by_level.setdefault(
-                    int(self.level[row]), []
-                ).append((row, words))
-                p = self.dff_pos.get(row)
-                if p is not None:
-                    forced_state.append((p, words))
-
-        # Per-site column fixes: fault b's column of its net is re-set
-        # to the stuck value whenever the row is (re)written.  Multiple
-        # faults on one net (s-a-0 and s-a-1) share a masked update.
-        col_clear: dict[int, int] = {}
-        col_set: dict[int, int] = {}
-        for b, f in enumerate(batch):
-            site = self.index[f.net]
-            bit = 1 << (b + 1)
-            col_clear[site] = col_clear.get(site, 0) | bit
-            col_set[site] = col_set.get(site, 0) | (
-                bit if f.stuck_at else 0
-            )
-        source_fixes: list[tuple] = []
-        level_fixes: dict[int, list[tuple]] = {}
-        state_fixes: list[tuple] = []
-        width = 64 * nw
-        for site, clear_bits in col_clear.items():
-            keep = ~self.words_from_int(clear_bits, width)
-            setw = self.words_from_int(col_set[site], width)
-            fix = (site, keep, setw)
-            if int(self.opcode[site]) >= OP_BUF:
-                level_fixes.setdefault(
-                    int(self.level[site]), []
-                ).append(fix)
-            else:
-                source_fixes.append(fix)
-            p = self.dff_pos.get(site)
-            if p is not None:
-                state_fixes.append((p, keep, setw))
+        # Column fixes: fault b's column of its net is re-set to the
+        # stuck value whenever the row is (re)written -- once per level
+        # (level 0: the source rows, right after they load) and in the
+        # next state of a flip-flop site -- as one masked update over
+        # (row, word) keys into the flattened arrays.
+        sites = _np.array([self.index[f.net] for f in batch],
+                          dtype=_np.int64)
+        col = _np.arange(1, nbits, dtype=_np.int64)
+        bits = _np.left_shift(_np.uint64(1), (col % 64).astype(_np.uint64))
+        put = bits * _np.array([f.stuck_at for f in batch],
+                               dtype=_np.uint64)
+        word = col // 64
+        site_level = self.level[sites]
+        fixes = {}
+        for lvl in set(site_level.tolist()):
+            at = site_level == lvl
+            fixes[lvl] = _masked_fix(sites[at] * nw + word[at], bits[at],
+                                     put[at])
+        pos = _np.array([self.dff_pos.get(r, -1) for r in sites.tolist()],
+                        dtype=_np.int64)
+        at = pos >= 0
+        state_fix = _masked_fix(pos[at] * nw + word[at], bits[at], put[at])
 
         alive = (1 << nbits) - 2  # columns 1..len(batch)
-        levels = self._level_program()
         V = _np.zeros((self.n_gates, nw), dtype=_np.uint64)
+        flat = V.reshape(-1)
         mark_set = set(marks)
         for cycle in range(1, marks[-1] + 1):
-            V[:] = 0
-            if len(self.input_rows):
-                V[self.input_rows] = pw
-            if len(self.const1_rows):
-                V[self.const1_rows] = ones
-            if len(self.dff_rows):
-                V[self.dff_rows] = state
-            for row, words in forced_by_level.get(0, ()):
-                V[row] = words
-            for site, keep, setw in source_fixes:
-                V[site] = (V[site] & keep) | setw
+            # Every row is rewritten each cycle but the constant-0 ones,
+            # which only their own fixes touch (idempotently).
+            V[self.input_rows] = pw
+            V[self.const1_rows] = ones
+            V[self.dff_rows] = state
+            _apply_fix(flat, fixes.get(0))
             for lvl, instrs in levels:
                 self._run_program(V, instrs, ones)
-                for row, words in forced_by_level.get(lvl, ()):
-                    V[row] = words
-                for site, keep, setw in level_fixes.get(lvl, ()):
-                    V[site] = (V[site] & keep) | setw
-            if len(self.dff_rows):
-                nxt = V[self.dff_d_rows].copy()
-                for p, words in forced_state:
-                    nxt[p] = words
-                for p, keep, setw in state_fixes:
-                    nxt[p] = (nxt[p] & keep) | setw
-                state = nxt
-            self._pattern_cycles = getattr(
-                self, "_pattern_cycles", 0
-            ) + bin(alive).count("1")
+                _apply_fix(flat, fixes.get(lvl))
+            state = V[self.dff_d_rows]
+            _apply_fix(state.reshape(-1), state_fix)
             if cycle in mark_set:
                 S = state[obs_pos]
                 golden = (S[:, 0] & _np.uint64(1)).astype(bool)
@@ -1109,8 +1064,8 @@ def resolve_netlist(digest: str, payload) -> Netlist:
     ``payload`` supplies the body on a cache miss: a :class:`Netlist`,
     raw pickled ``bytes``, or a zero-argument callable returning either
     (a shard worker's lazy :func:`repro.flow.shm.fetch`, so a warm
-    worker never reads the payload on a hit).  The registry is a
-    bounded LRU (``REPRO_WORKER_CACHE_SIZE``).
+    worker never reads the payload on a hit).  The registry is an LRU
+    bounded by :data:`repro.flow.shm.WORKER_CACHE_SIZE`.
     """
     hit = _BY_HASH.get(digest)
     if hit is not None:
@@ -1127,10 +1082,9 @@ def resolve_netlist(digest: str, payload) -> Netlist:
             f"no cached netlist for {digest[:12]} and no body provided"
         )
     _BY_HASH[digest] = payload
-    from repro.flow.shm import default_cache_size
+    from repro.flow import shm
 
-    limit = default_cache_size()
-    while len(_BY_HASH) > limit:
+    while len(_BY_HASH) > shm.WORKER_CACHE_SIZE:
         _BY_HASH.popitem(last=False)
         _HASH_STATS["evictions"] += 1
     return payload

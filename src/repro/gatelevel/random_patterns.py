@@ -14,11 +14,7 @@ from repro.bist.registers import LFSR
 from repro.gatelevel.faults import Fault, all_faults, coverage
 from repro.gatelevel.fault_sim import fault_simulate
 from repro.gatelevel.gates import Netlist
-from repro.gatelevel.structure import (
-    collapse_map,
-    record_collapse_metrics,
-    resolve_collapse,
-)
+from repro.gatelevel.structure import collapse_map, record_collapse_metrics
 
 
 def _packed_random(rng: random.Random, width: int) -> int:
@@ -52,7 +48,7 @@ def random_pattern_coverage(
         faults = all_faults(netlist)
     work = list(faults)
     cmap = None
-    if resolve_collapse(collapse):
+    if collapse is None or collapse:
         cmap = collapse_map(netlist)
         reps = cmap.representatives(work)
         if len(reps) < len(work):

@@ -115,9 +115,9 @@ def sequential_atpg(
 ) -> SequentialATPGResult:
     """Try to detect ``fault`` with growing time-frame counts.
 
-    ``backend`` selects the PODEM search engine
-    (:data:`repro.gatelevel.atpg.BACKEND_ENV`); both engines report
-    identical detections and effort.
+    ``backend`` selects the PODEM search engine (default:
+    ``REPRO_ATPG_BACKEND``); both engines report identical detections
+    and effort.
     """
     total_effort = 0
     total_backtracks = 0

@@ -1,7 +1,7 @@
 """One shard-dispatch seam for the fault-parallel engines.
 
 Fault simulation, PODEM and BIST attribution split a fault list into
-chunks and run one worker per chunk on
+chunks (:func:`plan`) and run one worker per chunk on
 :func:`repro.flow.resilience.run_sharded` (retry in a fresh pool, then
 in-process).  :func:`shard_map` publishes the netlist, the faults and
 the engine's ``shared`` payloads once on a
@@ -21,10 +21,30 @@ from repro.gatelevel.faults import Fault
 from repro.gatelevel.gates import Netlist
 
 
-def split(items: Sequence, n: int) -> list[list]:
-    """``items`` in ``n`` contiguous chunks of near-equal length."""
-    bounds = [round(i * len(items) / n) for i in range(n + 1)]
-    return [list(items[bounds[i]:bounds[i + 1]]) for i in range(n)]
+def plan(netlist: Netlist, faults: Sequence[Fault], shards: int,
+         minimum: int) -> list[list[Fault]] | None:
+    """The fault-parallel split of ``faults``, or ``None`` to run
+    serially.
+
+    Each shard gets at least ``minimum`` faults (the engine's measure
+    of when a process pool stops costing more than it saves), so
+    fewer than two shards' worth runs serially.  Faults are dealt
+    round-robin in topological-row order: shard *i* gets every
+    *n*-th fault from the *i*-th.  A fault's cost follows the part of
+    the design its cone covers, so dealing gives every shard an even
+    share of each part, where contiguous chunks of the caller's list
+    can differ in cost.  Faults on unknown nets sort first; without
+    the kernel (no numpy) only the stuck values order the deal.  Every
+    engine merges by fault, so any partition is exact.
+    """
+    if shards < 2 or len(faults) < 2 * minimum:
+        return None
+    from repro.gatelevel import kernel
+
+    n = min(shards, len(faults) // minimum)
+    index = kernel.compiled(netlist).index if kernel.have_kernel() else {}
+    ranked = sorted(faults, key=lambda f: (index.get(f.net, -1), f.stuck_at))
+    return [ranked[i::n] for i in range(n)]
 
 
 def shard_map(

@@ -31,11 +31,10 @@ them:
   dominance is not detection-identical -- they are exposed for
   reporting/targeting layers only and never used for expansion.
 
-Knobs: ``REPRO_FAULT_COLLAPSE`` (default on) gates representative
-simulation in every fault-facing hot path, ``REPRO_ATPG_GUIDANCE``
-(default on) gates SCOAP-guided PODEM backtrace and hardest-first
-fault targeting.  Both accept explicit ``collapse=`` / ``guidance=``
-arguments that override the environment.
+Switches: every fault-facing hot path takes ``collapse=`` (default
+on), which gates representative simulation, and PODEM and test
+generation take ``guidance=`` (default on), which gates SCOAP-guided
+backtrace and hardest-first fault targeting.
 """
 
 from __future__ import annotations
@@ -46,9 +45,6 @@ from weakref import WeakKeyDictionary
 
 from repro.gatelevel.faults import Fault, all_faults
 from repro.gatelevel.gates import Netlist
-
-COLLAPSE_ENV = "REPRO_FAULT_COLLAPSE"
-GUIDANCE_ENV = "REPRO_ATPG_GUIDANCE"
 
 #: the "uncontrollable / unobservable" sentinel.  Large enough that no
 #: real cost reaches it, small enough that sums of a few sentinels stay
@@ -81,24 +77,6 @@ _DOMINANCE_RULES: dict[str, tuple[tuple[int, int], ...]] = {
     "or": ((0, 0),),
     "nor": ((0, 1),),
 }
-
-
-def resolve_collapse(collapse: bool | None = None) -> bool:
-    """Fault-collapsing switch: explicit arg > env > on."""
-    from repro.knobs import env_flag
-
-    if collapse is None:
-        return env_flag(COLLAPSE_ENV, True)
-    return bool(collapse)
-
-
-def resolve_guidance(guidance: bool | None = None) -> bool:
-    """SCOAP-guided-ATPG switch: explicit arg > env > on."""
-    from repro.knobs import env_flag
-
-    if guidance is None:
-        return env_flag(GUIDANCE_ENV, True)
-    return bool(guidance)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +492,9 @@ class Structure:
 #: per-instance (version, outputs) -> Structure memo.
 _ANALYSES: "WeakKeyDictionary[Netlist, tuple]" = WeakKeyDictionary()
 
-#: per-process content-hash -> Structure LRU (warm-worker reuse; same
-#: sizing knob as the kernel's netlist cache).
+#: per-process content-hash -> Structure LRU (warm-worker reuse; bounded
+#: by :data:`repro.flow.shm.WORKER_CACHE_SIZE`, as the kernel's netlist
+#: cache is).
 _STRUCT_BY_HASH: "OrderedDict[str, Structure]" = OrderedDict()
 
 _STATS = {
@@ -560,12 +539,11 @@ def structural_analysis(netlist: Netlist) -> Structure:
 
 
 def _remember(digest: str, struct: Structure) -> None:
-    from repro.flow.shm import default_cache_size
+    from repro.flow import shm
 
     _STRUCT_BY_HASH[digest] = struct
     _STRUCT_BY_HASH.move_to_end(digest)
-    limit = default_cache_size()
-    while len(_STRUCT_BY_HASH) > limit:
+    while len(_STRUCT_BY_HASH) > shm.WORKER_CACHE_SIZE:
         _STRUCT_BY_HASH.popitem(last=False)
         _STATS["evictions"] += 1
 

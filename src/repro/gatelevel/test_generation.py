@@ -15,12 +15,12 @@ reference pipeline (property-tested in
   easy faults fall out of deterministic generation entirely, so PODEM
   only runs on the random-resistant residue (the classical
   random-then-deterministic staging).  Detecting random vectors join
-  ``TestSet.vectors`` with full bookkeeping; set ``predrop=0`` (or
-  ``REPRO_ATPG_PREDROP=0``) for benches that measure raw PODEM search.
+  ``TestSet.vectors`` with full bookkeeping; set ``predrop=0`` for
+  benches that measure raw PODEM search.
 * **Event-driven PODEM** — ``atpg_backend`` selects the incremental
   engine of :func:`repro.gatelevel.atpg.combinational_atpg`
   (``REPRO_ATPG_BACKEND``).
-* **Fault-parallel generation** — ``shards`` (``REPRO_ATPG_SHARDS``)
+* **Fault-parallel generation** — ``shards`` (default 1)
   spreads the residue's PODEM searches across a process pool; each
   worker returns per-fault results and the parent replays them in
   canonical fault order with kernel fault-dropping, so the final
@@ -45,40 +45,14 @@ from repro.gatelevel.fault_sim import (
 )
 from repro.gatelevel.gates import Netlist
 from repro.gatelevel.simulate import parallel_simulate
-from repro.gatelevel.structure import (
-    collapse_map,
-    record_collapse_metrics,
-    resolve_collapse,
-    resolve_guidance,
-)
+from repro.gatelevel.shard import plan
+from repro.gatelevel.structure import collapse_map, record_collapse_metrics
+from repro.knobs import coerce_int
 
-PREDROP_ENV = "REPRO_ATPG_PREDROP"
-SHARDS_ENV = "REPRO_ATPG_SHARDS"
 #: default random patterns simulated before deterministic generation
 DEFAULT_PREDROP = 64
 #: below this many residue faults a process pool costs more than it saves
 MIN_FAULTS_PER_SHARD = 8
-
-
-def resolve_predrop(predrop: int | None = None) -> int:
-    """Pre-drop pattern count: explicit arg > env > default.
-
-    Validated through :mod:`repro.knobs`; a malformed value raises a
-    one-line actionable error in the caller's process.
-    """
-    from repro.knobs import coerce_int, env_int
-
-    if predrop is None:
-        return env_int(PREDROP_ENV, DEFAULT_PREDROP, minimum=0)
-    return coerce_int(predrop, "predrop", minimum=0)
-
-
-def resolve_atpg_shards(shards: int | None = None) -> int:
-    from repro.knobs import coerce_int, env_int
-
-    if shards is None:
-        return env_int(SHARDS_ENV, 1, minimum=1)
-    return coerce_int(shards, "shards", minimum=1)
 
 
 @dataclass
@@ -230,10 +204,9 @@ def _podem_worker(args) -> list[ATPGResult]:
 
 def _parallel_podem(
     netlist: Netlist,
-    faults: Sequence[Fault],
+    chunks: Sequence[Sequence[Fault]],
     backtrack_limit: int,
     atpg_backend: str | None,
-    shards: int,
     guidance: bool = False,
 ) -> dict[Fault, ATPGResult]:
     """Speculative per-fault PODEM across a process pool.
@@ -244,14 +217,14 @@ def _parallel_podem(
     (netlist, fault, backtrack limit), so the replayed merge is
     byte-identical to the serial loop.
 
-    The faults split into contiguous chunks and run on
+    The planned chunks (:func:`repro.gatelevel.shard.plan`) run on
     :func:`repro.gatelevel.shard.shard_map`: payloads follow
     ``REPRO_SHARD_TRANSPORT``, and a crashed or killed shard is retried
     once in a fresh pool, then its chunk is searched in-process -- same
     results, fallback recorded in flow metrics.
     """
     from repro.gatelevel import kernel
-    from repro.gatelevel.shard import shard_map, split
+    from repro.gatelevel.shard import shard_map
 
     scoap = None
     if guidance and kernel.have_kernel():
@@ -259,7 +232,7 @@ def _parallel_podem(
 
         scoap = pack_scoap(structural_analysis(netlist), netlist)
     results = shard_map(
-        _podem_worker, netlist, split(faults, shards), "podem_shard",
+        _podem_worker, netlist, chunks, "podem_shard",
         shared={"scoap": scoap}, backtrack_limit=backtrack_limit,
         backend=atpg_backend, guidance=guidance,
     )
@@ -290,20 +263,19 @@ def generate_tests(
     the PODEM engine, ``predrop`` the number of random patterns
     simulated before deterministic generation (0 disables), and
     ``shards`` the process-pool width for the residue's PODEM
-    searches; every knob also has an environment-variable default
-    (``REPRO_FAULTSIM_BACKEND``, ``REPRO_ATPG_BACKEND``,
-    ``REPRO_ATPG_PREDROP``, ``REPRO_ATPG_SHARDS``).  The generated
-    test set is identical for any backend/shard combination.
+    searches (default 64 patterns and 1 shard); the two engines
+    default to ``REPRO_FAULTSIM_BACKEND`` and ``REPRO_ATPG_BACKEND``.
+    The generated test set is identical for any backend/shard
+    combination.
 
-    ``collapse`` (``REPRO_FAULT_COLLAPSE``, default on) runs the whole
-    pipeline on one representative per structural equivalence class
-    and expands the classification at the end: equivalent faults share
-    every detection set, so the expanded *detected* and *untestable*
-    sets -- and hence coverage and test efficiency -- equal a
-    collapse-off run, as long as no search aborts (PODEM's complete
-    search is order-independent; an abort is the one
-    backtrack-limit-dependent outcome).  The vector *list* may differ.
-    ``guidance`` (``REPRO_ATPG_GUIDANCE``, default on) targets
+    ``collapse`` (default on) runs the whole pipeline on one
+    representative per structural equivalence class and expands the
+    classification at the end: equivalent faults share every detection
+    set, so the expanded *detected* and *untestable* sets -- and hence
+    coverage and test efficiency -- equal a collapse-off run, as long
+    as no search aborts (PODEM's complete search is order-independent;
+    an abort is the one backtrack-limit-dependent outcome).  The vector
+    *list* may differ.  ``guidance`` (default on) targets
     random-resistant faults hardest-first by SCOAP difficulty and
     steers each backtrace toward the easiest-to-set candidate.
 
@@ -315,7 +287,7 @@ def generate_tests(
     """
     if faults is None:
         faults = all_faults(netlist)
-    if resolve_collapse(collapse):
+    if collapse is None or collapse:
         cmap = collapse_map(netlist)
         reps = cmap.representatives(faults)
         if len(reps) < len(faults):
@@ -332,13 +304,14 @@ def generate_tests(
     remaining = list(faults)
     scan_names = {g.name for g in netlist.scan_dffs()}
 
-    predrop = resolve_predrop(predrop)
+    predrop = (DEFAULT_PREDROP if predrop is None
+               else coerce_int(predrop, "predrop", minimum=0))
     if predrop and remaining:
         remaining = _random_predrop(
             netlist, remaining, predrop, predrop_seed, result, backend
         )
 
-    guidance = resolve_guidance(guidance)
+    guidance = guidance is None or bool(guidance)
     structure = None
     if guidance and remaining:
         from repro.gatelevel.structure import (
@@ -351,12 +324,12 @@ def generate_tests(
         # the easy tail still falls out of fault dropping for free.
         remaining = atpg_fault_order(remaining, structure)
 
-    shards = resolve_atpg_shards(shards)
+    shards = coerce_int(1 if shards is None else shards, "shards", minimum=1)
+    chunks = plan(netlist, remaining, shards, MIN_FAULTS_PER_SHARD)
     searched: dict[Fault, ATPGResult] | None = None
-    if shards > 1 and len(remaining) >= 2 * MIN_FAULTS_PER_SHARD:
+    if chunks:
         searched = _parallel_podem(
-            netlist, remaining, backtrack_limit, atpg_backend,
-            min(shards, len(remaining) // MIN_FAULTS_PER_SHARD),
+            netlist, chunks, backtrack_limit, atpg_backend,
             guidance=guidance,
         )
 

@@ -1,31 +1,28 @@
-"""Validated parsing for the repository's ``REPRO_*`` environment knobs.
+"""The repository's ``REPRO_*`` environment knobs: one table, one accessor.
 
-Every tunable that used to be parsed ad hoc (``int(os.environ.get(...))``
-deep inside a worker process, where a typo surfaced as a bare
-``ValueError`` with no hint of which variable was wrong) goes through
-this module instead.  Bad values raise :class:`KnobError` with a
-one-line, actionable message naming the variable, the offending value,
-and a valid example -- *before* any pool is spawned, so the error
-arrives in the caller's process.
-
-The :data:`KNOWN_KNOBS` registry doubles as documentation;
-``python -m repro.flow knobs`` renders it.
+:data:`KNOBS` declares every knob once -- its kind, default, bounds or
+choices (with aliases) and help -- and :func:`resolve` reads one: an
+explicit argument wins, then the environment, then the default.  Both
+sources are validated through the entry, so a bad value raises
+:class:`KnobError` with a one-line, actionable message naming the
+argument or the variable, the offending value, and a valid example --
+*before* any pool is spawned, so the error arrives in the caller's
+process.  ``python -m repro.flow knobs`` and the service's
+``GET /knobs`` render the table (:func:`rows`).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Sequence
 
 __all__ = [
     "KnobError",
-    "KNOWN_KNOBS",
-    "env_int",
-    "env_float",
-    "env_str",
-    "env_choice",
-    "env_flag",
-    "env_weights",
+    "Knob",
+    "KNOBS",
+    "resolve",
+    "rows",
     "coerce_int",
     "coerce_float",
     "coerce_flag",
@@ -38,116 +35,176 @@ class KnobError(ValueError):
     """A ``REPRO_*`` variable (or the matching argument) is invalid."""
 
 
-#: name -> (kind, default, description).  Purely informational; the
-#: accessors below do the actual validation.
-KNOWN_KNOBS: dict[str, tuple[str, str, str]] = {
-    "REPRO_FAULTSIM_BACKEND": (
-        "choice: kernel|interp", "kernel",
+@dataclass(frozen=True)
+class Knob:
+    """One knob's declaration.
+
+    ``kind`` is ``int``, ``float``, ``flag``, ``choice``, ``str``,
+    ``path`` or ``weights``; ``default`` is written as the environment
+    would spell it (empty: unset) and parsed like it; ``arg`` names the
+    per-call argument in error messages.
+    """
+
+    kind: str
+    default: str
+    help: str
+    arg: str = "value"
+    minimum: float | None = None
+    maximum: float | None = None
+    #: canonical choice -> accepted aliases
+    choices: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+
+    def parse(self, value: Any, label: str) -> Any:
+        """``value`` validated and converted; ``label`` names it in
+        errors.  Out-of-range numbers clamp."""
+        if self.kind == "int":
+            return coerce_int(value, label, self.minimum, self.maximum)
+        if self.kind == "float":
+            return coerce_float(value, label, self.minimum, self.maximum)
+        if self.kind == "flag":
+            return coerce_flag(value, label)
+        if self.kind == "choice":
+            return normalize_choice(str(value), label, self.choices)
+        if self.kind == "weights" and isinstance(value, str):
+            return parse_weights(value, label)
+        return value
+
+    @property
+    def type(self) -> str:
+        """The rendered type column."""
+        if self.kind == "choice":
+            return "choice: " + "|".join(self.choices)
+        if self.kind == "flag":
+            return "flag: 1|0"
+        if self.kind == "weights":
+            return "tenant=weight,..."
+        if self.maximum is not None:
+            return f"{self.kind} {self.minimum}..{self.maximum}"
+        if self.minimum is not None:
+            return f"{self.kind} >= {self.minimum}"
+        return self.kind
+
+
+KNOBS: dict[str, Knob] = {
+    "REPRO_FAULTSIM_BACKEND": Knob(
+        "choice", "kernel",
         "fault-simulation engine (compiled numpy kernel or the "
         "reference interpreter)",
+        arg="backend",
+        choices={"kernel": (), "interp": ("interpreter", "reference")},
     ),
-    "REPRO_FAULTSIM_SHARDS": (
-        "int >= 1", "1",
+    "REPRO_FAULTSIM_SHARDS": Knob(
+        "int", "1",
         "worker processes for fault-parallel fault simulation and "
         "BIST fault attribution",
+        arg="shards", minimum=1,
     ),
-    "REPRO_ATPG_BACKEND": (
-        "choice: event|reference", "event",
+    "REPRO_ATPG_BACKEND": Knob(
+        "choice", "event",
         "PODEM engine (event-driven incremental or the reference "
         "implementation)",
+        arg="backend",
+        choices={"event": (),
+                 "reference": ("ref", "interp", "interpreter")},
     ),
-    "REPRO_ATPG_SHARDS": (
-        "int >= 1", "1",
-        "worker processes for the deterministic-ATPG residue searches",
-    ),
-    "REPRO_ATPG_PREDROP": (
-        "int >= 0", "64",
-        "random patterns fault-simulated before deterministic ATPG "
-        "(0 disables the pre-drop stage)",
-    ),
-    "REPRO_FAULT_COLLAPSE": (
-        "flag: 1|0", "1",
-        "structural fault collapsing: simulate/target one "
-        "representative per equivalence class and expand results at "
-        "the reporting boundary (byte-identical, just faster)",
-    ),
-    "REPRO_ATPG_GUIDANCE": (
-        "flag: 1|0", "1",
-        "SCOAP-guided PODEM: hardest-first fault targeting and "
-        "easiest-to-set backtrace candidate selection",
-    ),
-    "REPRO_SHARD_TRANSPORT": (
-        "choice: shm|pickle", "shm (auto: pickle when shm unavailable)",
+    "REPRO_SHARD_TRANSPORT": Knob(
+        "choice", "shm",
         "payload transport for fault-parallel shard dispatch: shared-"
         "memory segments with tiny pickled references, or classic "
-        "whole-payload pickles through the pool pipe",
+        "whole-payload pickles through the pool pipe (shm degrades to "
+        "pickle where shared memory is unavailable)",
+        arg="transport", choices={"shm": (), "pickle": ()},
     ),
-    "REPRO_WORKER_CACHE_SIZE": (
-        "int >= 1", "8",
-        "netlists and decoded shard payloads each worker process keeps "
-        "cached by content hash (a warm worker compiles each design "
-        "once per pool generation)",
+    "REPRO_FLOWCACHE": Knob(
+        "path", ".flowcache", "flow artifact cache directory", arg="root",
     ),
-    "REPRO_FLOWCACHE": (
-        "path", ".flowcache",
-        "flow artifact cache directory",
-    ),
-    "REPRO_CHAOS_PLAN": (
-        "path", "(unset)",
+    "REPRO_CHAOS_PLAN": Knob(
+        "path", "",
         "JSON chaos plan for deterministic fault injection "
         "(tests only; unset in production)",
     ),
-    "REPRO_BENCH_QUICK": (
-        "flag", "(unset)",
+    "REPRO_BENCH_QUICK": Knob(
+        "flag", "0",
         "benchmarks run reduced sweeps and skip scoreboard rewrites",
     ),
-    "REPRO_SERVE_HOST": (
+    "REPRO_SERVE_HOST": Knob(
         "str", "127.0.0.1",
         "bind address for the testability service "
         "(python -m repro.flow serve)",
+        arg="host",
     ),
-    "REPRO_SERVE_PORT": (
-        "int 0..65535", "8351",
+    "REPRO_SERVE_PORT": Knob(
+        "int", "8351",
         "TCP port for the testability service (0 picks a free port)",
+        arg="port", minimum=0, maximum=65535,
     ),
-    "REPRO_SERVE_WORKERS": (
-        "int >= 1", "2",
-        "flow executions the server runs concurrently",
+    "REPRO_SERVE_WORKERS": Knob(
+        "int", "2", "flow executions the server runs concurrently",
+        arg="workers", minimum=1,
     ),
-    "REPRO_SERVE_JOBS": (
-        "int >= 1", "2",
+    "REPRO_SERVE_JOBS": Knob(
+        "int", "2",
         "worker processes in the server's warm pool (per-flow --jobs)",
+        arg="jobs", minimum=1,
     ),
-    "REPRO_SERVE_QUEUE": (
-        "int >= 1", "64",
+    "REPRO_SERVE_QUEUE": Knob(
+        "int", "64",
         "admission control: queued executions before submissions are "
         "rejected with 429",
+        arg="queue_limit", minimum=1,
     ),
-    "REPRO_SERVE_RETRY_AFTER": (
-        "float > 0", "1.0",
+    "REPRO_SERVE_RETRY_AFTER": Knob(
+        "float", "1.0",
         "Retry-After hint (seconds) sent with 429 rejections",
+        arg="retry_after", minimum=0.01,
     ),
-    "REPRO_SERVE_WEIGHTS": (
-        "tenant=weight,...", "(unset)",
+    "REPRO_SERVE_WEIGHTS": Knob(
+        "weights", "",
         "weighted-fair-queueing weights per tenant (unlisted tenants "
         "weigh 1)",
+        arg="weights",
     ),
-    "REPRO_SERVE_MEMCACHE": (
-        "int >= 0", "256",
+    "REPRO_SERVE_MEMCACHE": Knob(
+        "int", "256",
         "flow-cache entries the server keeps hot in memory "
         "(0 disables the memory layer)",
+        minimum=0,
     ),
-    "REPRO_FUZZ_TIMEOUT": (
-        "float > 0 (seconds)", "30.0",
-        "hard per-leg deadline in the fuzzing campaign: an oracle "
-        "configuration exceeding it is classified as a hang finding",
+    "REPRO_FUZZ_TIMEOUT": Knob(
+        "float", "30.0",
+        "hard per-leg deadline (seconds) in the fuzzing campaign: an "
+        "oracle configuration exceeding it is classified as a hang "
+        "finding",
+        arg="timeout", minimum=0.1,
     ),
-    "REPRO_FUZZ_EXEC": (
-        "choice: pool|inproc", "pool",
+    "REPRO_FUZZ_EXEC": Knob(
+        "choice", "pool",
         "fuzzing oracle-leg execution: a sacrificial worker pool "
         "(hang/crash-safe) or in-process (faster, no hang protection)",
+        arg="exec_mode",
+        choices={"pool": (), "inproc": ("in-process", "serial")},
     ),
 }
+
+
+def resolve(name: str, value: Any = None) -> Any:
+    """Knob ``name``: explicit ``value`` > environment > default.
+
+    An explicit value is validated under the argument's name, an
+    environment value (whitespace-stripped; empty means unset) under
+    the variable's.
+    """
+    knob = KNOBS[name]
+    if value is not None:
+        return knob.parse(value, knob.arg)
+    raw = os.environ.get(name, "").strip()
+    return knob.parse(raw or knob.default, name)
+
+
+def rows() -> list[tuple[str, str, str, str]]:
+    """``(knob, type, default, help)`` per knob, sorted by name."""
+    return [(name, k.type, k.default or "(unset)", k.help)
+            for name, k in sorted(KNOBS.items())]
 
 
 def coerce_int(
@@ -177,20 +234,6 @@ def coerce_int(
     return result
 
 
-def env_int(
-    name: str,
-    default: int,
-    minimum: int | None = None,
-    maximum: int | None = None,
-) -> int:
-    """Read an integer knob from the environment, validated."""
-    raw = os.environ.get(name, "")
-    if not raw.strip():
-        return default
-    return coerce_int(raw.strip(), name, minimum=minimum,
-                      maximum=maximum)
-
-
 def coerce_float(
     value: object,
     name: str,
@@ -215,20 +258,6 @@ def coerce_float(
     return result
 
 
-def env_float(
-    name: str,
-    default: float,
-    minimum: float | None = None,
-    maximum: float | None = None,
-) -> float:
-    """Read a float knob from the environment, validated."""
-    raw = os.environ.get(name, "")
-    if not raw.strip():
-        return default
-    return coerce_float(raw.strip(), name, minimum=minimum,
-                        maximum=maximum)
-
-
 _FLAG_VALUES = {
     "1": True, "true": True, "on": True, "yes": True,
     "0": False, "false": False, "off": False, "no": False,
@@ -246,20 +275,6 @@ def coerce_flag(value: object, name: str) -> bool:
             f"{name}={value!r} is not a flag; try {name}=1 or {name}=0"
         ) from None
     return result
-
-
-def env_flag(name: str, default: bool) -> bool:
-    """Read a boolean knob from the environment, validated."""
-    raw = os.environ.get(name, "")
-    if not raw.strip():
-        return default
-    return coerce_flag(raw.strip(), name)
-
-
-def env_str(name: str, default: str) -> str:
-    """Read a free-form string knob (empty/unset -> default)."""
-    raw = os.environ.get(name, "")
-    return raw.strip() or default
 
 
 def parse_weights(raw: str, name: str) -> dict[str, float]:
@@ -289,16 +304,6 @@ def parse_weights(raw: str, name: str) -> dict[str, float]:
     return weights
 
 
-def env_weights(
-    name: str, default: Mapping[str, float] | None = None
-) -> dict[str, float]:
-    """Read a tenant-weight map knob from the environment, validated."""
-    raw = os.environ.get(name, "")
-    if not raw.strip():
-        return dict(default or {})
-    return parse_weights(raw, name)
-
-
 def normalize_choice(
     value: str,
     name: str,
@@ -319,15 +324,3 @@ def normalize_choice(
         f"{name}={value!r} is not a valid choice; "
         f"expected one of {options}"
     )
-
-
-def env_choice(
-    name: str,
-    default: str,
-    canon: Mapping[str, Sequence[str]],
-) -> str:
-    """Read a choice knob from the environment, validated."""
-    raw = os.environ.get(name, "")
-    if not raw.strip():
-        return default
-    return normalize_choice(raw, name, canon)

@@ -317,12 +317,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--predrop", type=int, metavar="N",
                         help="random patterns simulated before "
                              "deterministic ATPG for --vectors "
-                             "(0 disables; default 64, or "
-                             "REPRO_ATPG_PREDROP)")
+                             "(0 disables; default 64)")
     parser.add_argument("--atpg-shards", type=int, metavar="N",
                         help="worker processes for the deterministic "
-                             "ATPG residue (default 1, or "
-                             "REPRO_ATPG_SHARDS)")
+                             "ATPG residue (default 1)")
     args = parser.parse_args(argv)
     if args.list or not args.design:
         for name in sorted(suite.standard_suite()):

@@ -31,8 +31,8 @@ import time
 import urllib.parse
 from typing import Any
 
-from repro import knobs
 from repro.flow.resilience import set_shard_pool_provider
+from repro.knobs import resolve, rows
 from repro.serve.registry import WarmRegistry
 from repro.serve.scheduler import (
     AdmissionError,
@@ -68,38 +68,23 @@ class Server:
         registry: WarmRegistry | None = None,
         flows=None,
     ) -> None:
-        self.host = host if host is not None else knobs.env_str(
-            "REPRO_SERVE_HOST", "127.0.0.1")
-        self.port = port if port is not None else knobs.env_int(
-            "REPRO_SERVE_PORT", 8351, minimum=0, maximum=65535)
-        workers = workers if workers is not None else knobs.env_int(
-            "REPRO_SERVE_WORKERS", 2, minimum=1)
-        jobs = jobs if jobs is not None else knobs.env_int(
-            "REPRO_SERVE_JOBS", 2, minimum=1)
-        queue_limit = (queue_limit if queue_limit is not None
-                       else knobs.env_int("REPRO_SERVE_QUEUE", 64,
-                                          minimum=1))
-        retry_after = (retry_after if retry_after is not None
-                       else knobs.env_float("REPRO_SERVE_RETRY_AFTER",
-                                            1.0, minimum=0.01))
-        if weights is None:
-            weights = knobs.env_weights("REPRO_SERVE_WEIGHTS")
+        self.host = resolve("REPRO_SERVE_HOST", host)
+        self.port = resolve("REPRO_SERVE_PORT", port)
+        jobs = resolve("REPRO_SERVE_JOBS", jobs)
         if registry is None:
             registry = WarmRegistry(
-                cache_dir,
-                max_entries=knobs.env_int("REPRO_SERVE_MEMCACHE", 256,
-                                          minimum=0),
+                cache_dir, max_entries=resolve("REPRO_SERVE_MEMCACHE"),
                 jobs=jobs,
             )
         self.registry = registry
         self.scheduler = Scheduler(
             cache=registry.cache,
             pools=registry.pools,
-            workers=workers,
+            workers=resolve("REPRO_SERVE_WORKERS", workers),
             jobs=jobs,
-            queue_limit=queue_limit,
-            retry_after=retry_after,
-            weights=weights,
+            queue_limit=resolve("REPRO_SERVE_QUEUE", queue_limit),
+            retry_after=resolve("REPRO_SERVE_RETRY_AFTER", retry_after),
+            weights=resolve("REPRO_SERVE_WEIGHTS", weights),
             flows=flows,
         )
         self.started_at = time.time()
@@ -209,8 +194,7 @@ class Server:
         if path == "/knobs" and method == "GET":
             return 200, {
                 name: {"type": kind, "default": default, "help": desc}
-                for name, (kind, default, desc)
-                in sorted(knobs.KNOWN_KNOBS.items())
+                for name, kind, default, desc in rows()
             }, {}
         if path == "/flows" and method == "GET":
             from repro.flow.flows import describe_flows

@@ -21,21 +21,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.flow import shm
-from repro.gatelevel.atpg import (
-    combinational_atpg,
-    resolve_atpg_backend,
-)
+from repro.gatelevel.atpg import combinational_atpg
 from repro.gatelevel.fault_sim import fault_simulate
 from repro.gatelevel.faults import Fault, all_faults
 from repro.gatelevel.gates import Netlist
 from repro.gatelevel.kernel import have_kernel
 from repro.gatelevel.seq_atpg import sequential_atpg
-from repro.gatelevel.test_generation import (
-    TestSet,
-    generate_tests,
-    resolve_atpg_shards,
-    resolve_predrop,
-)
+from repro.gatelevel.test_generation import TestSet, generate_tests
+from repro.knobs import KnobError, resolve
 from tests.conftest import synthesize
 from tests.test_kernel_equivalence import netlists
 
@@ -107,15 +100,15 @@ class TestEventEnginePODEM:
                                         ev.effort, ev.backtracks), fault
 
     def test_backend_resolution(self, monkeypatch):
-        assert resolve_atpg_backend("event") == "event"
-        assert resolve_atpg_backend("reference") == "reference"
-        assert resolve_atpg_backend("interp") == "reference"
+        assert resolve("REPRO_ATPG_BACKEND", "event") == "event"
+        assert resolve("REPRO_ATPG_BACKEND", "reference") == "reference"
+        assert resolve("REPRO_ATPG_BACKEND", "interp") == "reference"
         monkeypatch.setenv("REPRO_ATPG_BACKEND", "reference")
-        assert resolve_atpg_backend() == "reference"
+        assert resolve("REPRO_ATPG_BACKEND") == "reference"
         monkeypatch.delenv("REPRO_ATPG_BACKEND")
-        assert resolve_atpg_backend() == "event"
+        assert resolve("REPRO_ATPG_BACKEND") == "event"
         with pytest.raises(ValueError):
-            resolve_atpg_backend("fancy")
+            resolve("REPRO_ATPG_BACKEND", "fancy")
 
 
 class TestShardedGeneration:
@@ -159,21 +152,40 @@ class TestShardedGeneration:
             )
             assert _same_testset(ref, acc)
 
-    def test_shard_resolution(self, monkeypatch):
-        assert resolve_atpg_shards(3) == 3
-        assert resolve_atpg_shards(0) == 1
-        monkeypatch.setenv("REPRO_ATPG_SHARDS", "5")
-        assert resolve_atpg_shards() == 5
+    def test_shard_resolution(self, fullscan_nl, monkeypatch):
+        import repro.gatelevel.test_generation as tg
+
+        seen = []
+
+        def spy(netlist, faults, shards, minimum):
+            seen.append(shards)  # and run serially
+
+        monkeypatch.setattr(tg, "plan", spy)
+        faults = all_faults(fullscan_nl)[:24]
+        for shards in (3, 0, None):
+            generate_tests(fullscan_nl, faults=faults, shards=shards)
+        assert seen == [3, 1, 1]
+        with pytest.raises(KnobError, match="shards='lots'"):
+            generate_tests(fullscan_nl, faults=faults, shards="lots")
 
 
 class TestPredropBookkeeping:
-    def test_predrop_resolution(self, monkeypatch):
-        assert resolve_predrop(32) == 32
-        assert resolve_predrop(0) == 0
-        monkeypatch.setenv("REPRO_ATPG_PREDROP", "7")
-        assert resolve_predrop() == 7
-        monkeypatch.delenv("REPRO_ATPG_PREDROP")
-        assert resolve_predrop() == 64
+    def test_predrop_resolution(self, fullscan_nl, monkeypatch):
+        import repro.gatelevel.test_generation as tg
+
+        seen = []
+
+        def spy(netlist, remaining, predrop, *args):
+            seen.append(predrop)
+            return remaining
+
+        monkeypatch.setattr(tg, "_random_predrop", spy)
+        faults = all_faults(fullscan_nl)[:24]
+        for predrop in (32, 0, None):
+            generate_tests(fullscan_nl, faults=faults, predrop=predrop)
+        assert seen == [32, 64]  # 0 disables the stage
+        with pytest.raises(KnobError, match="predrop='many'"):
+            generate_tests(fullscan_nl, faults=faults, predrop="many")
 
     def test_every_fault_classified_once(self, fullscan_nl):
         faults = all_faults(fullscan_nl)

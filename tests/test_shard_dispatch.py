@@ -142,7 +142,7 @@ class TestNetlistHash:
         assert kernel.netlist_hash(nl) != before
 
     def test_resolve_netlist_caches_and_evicts(self, monkeypatch):
-        monkeypatch.setenv(shm.CACHE_SIZE_ENV, "2")
+        monkeypatch.setattr(shm, "WORKER_CACHE_SIZE", 2)
         kernel._BY_HASH.clear()
         designs = [genscale.generate_netlist(40, seed=s)
                    for s in range(3)]
