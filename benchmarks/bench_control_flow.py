@@ -13,7 +13,8 @@ loop-aware synthesis stays ahead of gate-level MFVS), quantifying that
 the techniques *do* extend to the control-flow class on this substrate.
 """
 
-from common import Table, conventional_flow
+from common import Table
+from repro.flow.flows import conventional_datapath
 from repro.cdfg.analysis import cdfg_loops, critical_path_length
 from repro.cdfg.suite import gcd
 from repro import hls, rtl
@@ -32,7 +33,7 @@ def run_experiment() -> Table:
     loops = cdfg_loops(c, bound=200)
     t.add("CDFG loops (through selects)", len(loops))
     latency = int(1.5 * critical_path_length(c))
-    dp_gate, *_ = conventional_flow(c, slack=1.5)
+    dp_gate, *_ = conventional_datapath(c, slack=1.5)
     rep = gate_level_partial_scan(dp_gate)
     t.add("gate-level MFVS scan bits", rep.scan_bits)
     alloc = hls.allocate_for_latency(c, latency)
@@ -41,9 +42,9 @@ def run_experiment() -> Table:
     t.add("loop-aware [33] scan bits", bits)
     lf = is_loop_free(sgraph_without_scan(build_sgraph(dp)))
     t.add("loop-free after [33]", lf)
-    dp_tp, *_ = conventional_flow(c, slack=1.5)
+    dp_tp, *_ = conventional_datapath(c, slack=1.5)
     t.add("test points k=1 [15]", len(rtl.insert_k_level_test_points(dp_tp, 1)))
-    dp_b, *_ = conventional_flow(c, slack=1.5)
+    dp_b, *_ = conventional_datapath(c, slack=1.5)
     t.add("BIST sessions (path-based [20])", len(path_based_sessions(dp_b)))
     t.gate_bits = rep.scan_bits
     t.hls_bits = bits
@@ -57,7 +58,7 @@ def run_experiment() -> Table:
     for seed in range(5):
         rc = random_control_cdfg(24, 4, n_loops=2, seed=seed)
         lat2 = int(1.5 * critical_path_length(rc))
-        dpg, *_ = conventional_flow(rc, slack=1.5)
+        dpg, *_ = conventional_datapath(rc, slack=1.5)
         g_bits = gate_level_partial_scan(dpg).scan_bits
         alloc2 = hls.allocate_for_latency(rc, lat2)
         dph, _ = loop_aware_synthesis(rc, alloc2, num_steps=lat2)

@@ -14,7 +14,8 @@ detections before vs after adding the extra vectors; (4) the area cost
 of the redesign.
 """
 
-from common import Table, conventional_flow
+from common import Table
+from repro.flow.flows import conventional_datapath
 from repro.cdfg import suite
 from repro.controller_dft import (
     control_implications,
@@ -59,7 +60,7 @@ def run_experiment() -> Table:
         ["metric", "before", "after"],
     )
     c = suite.diffeq(width=WIDTH)
-    dp, *_ = conventional_flow(c, slack=1.5)
+    dp, *_ = conventional_datapath(c, slack=1.5)
     ctrl = build_controller(dp)
     implications = control_implications(ctrl)
     reqs = datapath_test_requirements(dp, ctrl)
@@ -96,7 +97,7 @@ def run_experiment() -> Table:
     ctrl_area = sum(
         AREA_MODEL["control_vector"] * len(w.signals) for w in ctrl.words
     )
-    dp8, *_ = conventional_flow(suite.diffeq(width=8), slack=1.5)
+    dp8, *_ = conventional_datapath(suite.diffeq(width=8), slack=1.5)
     area = area_estimate(dp8)["total"] + ctrl_area
     t.add("control implications", len(implications), len(implications))
     t.add("infeasible ATPG requirements", len(missing), 0)

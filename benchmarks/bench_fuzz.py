@@ -13,14 +13,10 @@ scoreboard:
   than uniform sampling on >= 2 of the 3 seeded bugs -- the bugs live
   in sparse feature-space corners (2 of 40 arms each), exactly where
   the bandit's cold-start diversity sweep looks first.
-
-``--smoke`` (or ``REPRO_BENCH_QUICK=1``) runs reduced budgets as the
-CI gate and leaves the committed scoreboard alone.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import pathlib
@@ -31,7 +27,6 @@ from common import Table
 from repro.fuzz.campaign import CampaignConfig, load_journal, run_campaign
 from repro.fuzz.oracles import INJECTED_BUGS
 from repro.gatelevel.kernel import have_kernel
-from repro.knobs import resolve
 
 ROOT_JSON = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_fuzz.json"
@@ -40,8 +35,7 @@ ROOT_JSON = (
 #: campaign seed; every measurement below is deterministic in it.
 SEED = 1
 
-FULL = {"real_trials": 24, "inject_trials": 40}
-SMOKE = {"real_trials": 6, "inject_trials": 20}
+BUDGETS = {"real_trials": 24, "inject_trials": 40}
 
 
 def _first_find(journal: str) -> int | None:
@@ -83,13 +77,7 @@ def _injected_run(bug: str, policy: str, trials: int,
     return out
 
 
-def run_experiment(budgets=None, root_json: bool = True) -> Table:
-    if budgets is None:
-        if resolve("REPRO_BENCH_QUICK"):
-            # CI gate only -- leave the committed scoreboard alone.
-            budgets, root_json = SMOKE, False
-        else:
-            budgets = FULL
+def run_experiment() -> Table:
     t_bench = time.perf_counter()
     table = Table(
         "ROBUST-fuzz",
@@ -102,7 +90,7 @@ def run_experiment(budgets=None, root_json: bool = True) -> Table:
         # 1. real-oracle throughput on a clean tree
         real = run_campaign(CampaignConfig(
             seed=SEED,
-            trials=budgets["real_trials"],
+            trials=BUDGETS["real_trials"],
             max_gates=400,
             shards=(1, 2),
             transports=("shm", "pickle"),
@@ -116,7 +104,7 @@ def run_experiment(budgets=None, root_json: bool = True) -> Table:
         for bug in sorted(INJECTED_BUGS):
             legs = {
                 policy: _injected_run(
-                    bug, policy, budgets["inject_trials"], workdir
+                    bug, policy, BUDGETS["inject_trials"], workdir
                 )
                 for policy in ("linucb", "uniform")
             }
@@ -150,7 +138,7 @@ def run_experiment(budgets=None, root_json: bool = True) -> Table:
     table.notes.append(
         f"bandit first-find beats uniform on {bandit_wins}/"
         f"{len(injected)} seeded corner bugs "
-        f"(seed={SEED}, {budgets['inject_trials']}-trial budget)"
+        f"(seed={SEED}, {BUDGETS['inject_trials']}-trial budget)"
     )
     table.real_campaign = {
         "trials": real["trials"],
@@ -159,18 +147,17 @@ def run_experiment(budgets=None, root_json: bool = True) -> Table:
     }
     table.injected = injected
     table.bandit_wins = bandit_wins
-    if root_json:
-        ROOT_JSON.write_text(json.dumps({
-            "experiment": "ROBUST-fuzz",
-            "kernel_available": have_kernel(),
-            "nproc": os.cpu_count(),
-            "seed": SEED,
-            "budgets": budgets,
-            "real_campaign": table.real_campaign,
-            "injected": injected,
-            "bandit_wins": bandit_wins,
-            "bench_seconds": round(bench_seconds, 2),
-        }, indent=2) + "\n")
+    ROOT_JSON.write_text(json.dumps({
+        "experiment": "ROBUST-fuzz",
+        "kernel_available": have_kernel(),
+        "nproc": os.cpu_count(),
+        "seed": SEED,
+        "budgets": BUDGETS,
+        "real_campaign": table.real_campaign,
+        "injected": injected,
+        "bandit_wins": bandit_wins,
+        "bench_seconds": round(bench_seconds, 2),
+    }, indent=2) + "\n")
     return table
 
 
@@ -189,19 +176,10 @@ def test_fuzz(benchmark):
         if "min_gates" in legs["linucb"]:
             assert legs["linucb"]["min_gates"] <= \
                 0.25 * legs["linucb"]["orig_gates"], (bug, legs)
-    if not resolve("REPRO_BENCH_QUICK"):
-        # the acceptance bar: bandit beats uniform on >= 2 of 3 bugs
-        assert table.bandit_wins >= 2, table.injected
+    # the acceptance bar: bandit beats uniform on >= 2 of 3 bugs
+    assert table.bandit_wins >= 2, table.injected
     table.emit()
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced budgets (CI gate)")
-    args = parser.parse_args()
-    if args.smoke:
-        # Print only: don't overwrite the committed full-run results.
-        print(run_experiment(SMOKE, root_json=False).render())
-    else:
-        run_experiment().emit()
+    run_experiment().emit()

@@ -12,8 +12,9 @@ the [20] test-conflict argument; (c) coverage grows with session
 length (pseudorandom BIST economics).
 
 Ported onto ``repro.flow.flows.insitu_bist_flow``; coverage is computed
-by the fault-parallel compiled kernel (``PERF-bist`` gates its
-equivalence against the fault-serial interpreter).
+by the fault-parallel compiled kernel, whose equivalence to the
+fault-serial interpreter on these designs is asserted by
+``tests/test_bist_fault_parallel.py``.
 """
 
 from common import Table, run_flow_table

@@ -9,7 +9,8 @@ total registers, and S-graph input-to-output depth, versus the
 conventional left-edge assignment.
 """
 
-from common import Table, conventional_flow
+from common import Table
+from repro.flow.flows import conventional_datapath
 from repro.cdfg import suite
 from repro.cdfg.analysis import critical_path_length
 from repro import hls
@@ -39,7 +40,7 @@ def run_experiment() -> Table:
     wins = 0
     for name in NAMES:
         c = suite.standard_suite()[name]
-        dp_le, *_ = conventional_flow(c)
+        dp_le, *_ = conventional_datapath(c)
         dp_io = io_flow(c)
         s_le, s_io = io_register_stats(dp_le), io_register_stats(dp_io)
         d_le = input_to_output_depth(build_sgraph(dp_le))

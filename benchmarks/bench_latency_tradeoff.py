@@ -12,7 +12,8 @@ flow worse than the baseline, and relaxing the constraint monotonically
 helps (more freedom to avoid assignment loops) or is neutral.
 """
 
-from common import Table, conventional_flow
+from common import Table
+from repro.flow.flows import conventional_datapath
 from repro.cdfg import suite
 from repro.cdfg.analysis import critical_path_length
 from repro import hls
@@ -40,7 +41,7 @@ def run_experiment() -> Table:
             alloc = hls.allocate_for_latency(c, latency)
             dp, _ = loop_aware_synthesis(c, alloc, num_steps=latency)
             hls_bits.append(sum(r.width for r in dp.scan_registers()))
-            dpc, *_ = conventional_flow(c, slack=max(slack, 1.0))
+            dpc, *_ = conventional_datapath(c, slack=max(slack, 1.0))
             gate_bits.append(gate_level_partial_scan(dpc).scan_bits)
         per_design[name] = (hls_bits, gate_bits)
         t.add(name, *hls_bits, *gate_bits)

@@ -12,7 +12,8 @@ top-ranked registers must include the loop registers the MFVS ends up
 needing.
 """
 
-from common import Table, conventional_flow
+from common import Table
+from repro.flow.flows import conventional_datapath
 from repro.cdfg import suite
 from repro.rtl import hard_registers
 from repro.scan import gate_level_partial_scan, rtl_partial_scan
@@ -41,8 +42,8 @@ def run_experiment() -> Table:
     drops = []
     for name in NAMES:
         c = suite.standard_suite()[name]
-        dp1, *_ = conventional_flow(c, slack=1.5)
-        dp2, *_ = conventional_flow(c, slack=1.5)
+        dp1, *_ = conventional_datapath(c, slack=1.5)
+        dp2, *_ = conventional_datapath(c, slack=1.5)
         mfvs = minimum_feedback_vertex_set(build_sgraph(dp1))
         k = max(1, len(mfvs))
         ranked = hard_registers(dp1, k)

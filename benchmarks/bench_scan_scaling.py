@@ -7,7 +7,8 @@ count nearly flat (selected scan variables share registers) while the
 gate-level count tracks the loop structure.
 """
 
-from common import Table, conventional_flow
+from common import Table
+from repro.flow.flows import conventional_datapath
 from repro.cdfg.analysis import critical_path_length
 from repro.cdfg.generate import random_looped_cdfg
 from repro import hls
@@ -32,7 +33,7 @@ def run_experiment() -> Table:
                 N_OPS, n_loops, loop_length=3, seed=seed
             )
             latency = int(1.5 * critical_path_length(c))
-            dp, *_ = conventional_flow(c, slack=1.5)
+            dp, *_ = conventional_datapath(c, slack=1.5)
             rep = gate_level_partial_scan(dp)
             alloc = hls.allocate_for_latency(c, latency)
             dp2, _ = loop_aware_synthesis(c, alloc, num_steps=latency)

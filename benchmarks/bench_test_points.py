@@ -12,7 +12,8 @@ fraction of loops already covered without insertion, and pseudorandom
 fault coverage of a k=1 test-pointed data path vs the scanned one.
 """
 
-from common import Table, conventional_flow
+from common import Table
+from repro.flow.flows import conventional_datapath
 from repro.cdfg import suite
 from repro.rtl import insert_k_level_test_points, k_level_coverage
 from repro.gatelevel import all_faults, expand_datapath
@@ -30,7 +31,7 @@ def run_experiment() -> Table:
     totals = [0, 0, 0]
     for name in NAMES:
         c = suite.standard_suite()[name]
-        dp, *_ = conventional_flow(c, slack=1.5)
+        dp, *_ = conventional_datapath(c, slack=1.5)
         tps = [
             len(insert_k_level_test_points(dp, k=k)) for k in (0, 1, 2)
         ]
@@ -44,7 +45,7 @@ def run_experiment() -> Table:
     # access points = scan-equivalent observe/control at those nodes)
     # against pseudorandom patterns.
     c = suite.iir_biquad(1, width=3)
-    dp_tp, *_ = conventional_flow(c, slack=1.5)
+    dp_tp, *_ = conventional_datapath(c, slack=1.5)
     points = insert_k_level_test_points(dp_tp, k=1)
     dp_tp.mark_scan(*[p.register for p in points])
     nl, _ = expand_datapath(dp_tp)

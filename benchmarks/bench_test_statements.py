@@ -9,7 +9,8 @@ synthesized diffeq data path, original vs test-statement-modified
 (test-mode inputs driven pseudorandomly too), plus the area overhead.
 """
 
-from common import Table, conventional_flow
+from common import Table
+from repro.flow.flows import conventional_datapath
 from repro.cdfg import suite
 from repro.cdfg.transform import insert_test_statements
 from repro.hls.estimate import area_estimate
@@ -21,7 +22,7 @@ N_PATTERNS = 128
 
 
 def coverage_of(cdfg):
-    dp, *_ = conventional_flow(cdfg, slack=1.5)
+    dp, *_ = conventional_datapath(cdfg, slack=1.5)
     nl, _ = expand_datapath(dp)
     faults = all_faults(nl)  # full universe: sampling would bias
     cov = random_pattern_coverage(

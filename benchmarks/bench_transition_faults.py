@@ -12,7 +12,8 @@ transition-fault coverage of sequential data paths, and partial scan
 recovers most of the full-scan coverage.
 """
 
-from common import Table, conventional_flow
+from common import Table
+from repro.flow.flows import conventional_datapath
 from repro.cdfg import suite
 from repro.gatelevel.expand import expand_datapath
 from repro.gatelevel.transition_faults import (
@@ -40,10 +41,10 @@ def run_experiment() -> Table:
     )
     for name in ("iir2", "ar4", "diffeq_loop"):
         c = suite.standard_suite(width=WIDTH)[name]
-        dp_none, *_ = conventional_flow(c, slack=1.5)
-        dp_part, *_ = conventional_flow(c, slack=1.5)
+        dp_none, *_ = conventional_datapath(c, slack=1.5)
+        dp_part, *_ = conventional_datapath(c, slack=1.5)
         gate_level_partial_scan(dp_part)
-        dp_full, *_ = conventional_flow(c, slack=1.5)
+        dp_full, *_ = conventional_datapath(c, slack=1.5)
         dp_full.mark_scan(*[r.name for r in dp_full.registers])
         t.add(
             name,

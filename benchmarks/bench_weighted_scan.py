@@ -11,7 +11,7 @@ Claim shape: the weighted selection never needs more scan bits and
 strictly fewer wherever a narrow cut exists on each loop.
 """
 
-from common import Table, conventional_flow
+from common import Table
 from repro.cdfg.builder import CDFGBuilder
 from repro.sgraph import build_sgraph, is_loop_free, weighted_mfvs
 from repro.sgraph.mfvs import minimum_feedback_vertex_set

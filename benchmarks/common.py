@@ -15,8 +15,6 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from repro.cdfg.analysis import critical_path_length
-from repro import hls
 from repro.flow.metrics import column_widths
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
@@ -111,19 +109,3 @@ def run_flow_table(flow, *, jobs: int | None = None,
     result = runner.run(flow, jobs=jobs, metrics_path=metrics_path)
     return Table.from_spec(result[artifact])
 
-
-def conventional_flow(cdfg, slack: float = 1.5, register_style="left_edge"):
-    """The testability-blind baseline synthesis used across benches."""
-    latency = max(
-        critical_path_length(cdfg),
-        int(slack * critical_path_length(cdfg)),
-    )
-    alloc = hls.allocate_for_latency(cdfg, latency)
-    sched = hls.list_schedule(cdfg, alloc)
-    fub = hls.bind_functional_units(cdfg, sched, alloc)
-    if register_style == "left_edge":
-        regs = hls.assign_registers_left_edge(cdfg, sched)
-    else:
-        regs = hls.assign_registers_coloring(cdfg, sched)
-    dp = hls.build_datapath(cdfg, sched, fub, regs)
-    return dp, sched, fub, alloc

@@ -4,25 +4,15 @@ Usage::
 
     python benchmarks/run_all.py            # print + write results/
     python benchmarks/run_all.py --quiet    # write results/ only
-    REPRO_BENCH_QUICK=1 python benchmarks/run_all.py   # < 60s sweep
 
 Imports each ``bench_*.py`` module and calls its ``run_experiment()``;
 the rendered tables land in ``benchmarks/results/`` (the same files the
 pytest entries write, each with a machine-readable ``.json`` twin),
 giving EXPERIMENTS.md a one-command refresh.  Per-bench wall times are
-aggregated into ``benchmarks/results/run_all_timings.json``.
-
-``REPRO_BENCH_QUICK=1`` (or ``--quick``) switches the slow scoreboard
-benches (``bench_atpg``'s ~150s reference-engine sweep,
-``bench_bist_faultsim``'s fault-serial baseline, ``bench_collapse``/
-``bench_dmachine``'s full sweeps) to their smallest
-equality-gate case so the full suite finishes in well under a minute
-for CI and local sweeps.  Quick runs leave every committed full-sweep
-artifact untouched: the ``BENCH_*.json`` scoreboards, the
-``results/`` tables, *and* the timings aggregate -- quick timings go
-to ``run_all_timings_quick.json`` instead.  A partial full run
-(``--only``) merges its timings into the existing aggregate rather
-than clobbering the other benches' entries.
+aggregated into ``benchmarks/results/run_all_timings.json``; a partial
+run (``--only``) merges its timings into the existing aggregate rather
+than clobbering the other benches' entries.  Speed is measured by
+``perfbench/``, not here.
 """
 
 from __future__ import annotations
@@ -30,12 +20,9 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import os
 import pathlib
 import sys
 import time
-
-from repro.knobs import resolve
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
@@ -51,18 +38,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument(
-        "--quick", action="store_true",
-        help="same as REPRO_BENCH_QUICK=1: slow benches run their "
-             "smallest equality-gate case only",
-    )
-    parser.add_argument(
         "--only", nargs="*", default=None,
         help="bench module stems to run (default: all)",
     )
     args = parser.parse_args(argv)
-    if args.quick:
-        os.environ["REPRO_BENCH_QUICK"] = "1"
-    quick = resolve("REPRO_BENCH_QUICK")
     names = args.only if args.only else bench_modules()
     failures: list[str] = []
     timings: dict[str, dict] = {}
@@ -72,11 +51,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             mod = importlib.import_module(name)
             table = mod.run_experiment()
-            # Quick runs use reduced cases; don't overwrite the
-            # committed full-sweep tables in results/.
-            where = "" if quick else (
-                f" -> {table.save().relative_to(HERE.parent)}"
-            )
+            where = table.save().relative_to(HERE.parent)
             timings[name] = {
                 "seconds": round(time.perf_counter() - t0, 3),
                 "status": "ok",
@@ -85,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(table.render())
                 print()
             print(f"[{name}] ok in {time.perf_counter() - t0:.1f}s"
-                  f"{where}", file=sys.stderr)
+                  f" -> {where}", file=sys.stderr)
         except Exception as exc:  # keep going; report at the end
             failures.append(f"{name}: {exc!r}")
             timings[name] = {
@@ -95,14 +70,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[{name}] FAILED: {exc!r}", file=sys.stderr)
     results_dir = HERE / "results"
     results_dir.mkdir(exist_ok=True)
-    # Quick runs measure reduced cases -- keep them out of the
-    # committed full-sweep aggregate.  Partial full runs (--only)
-    # merge into it so the other benches' entries survive.
-    timings_path = results_dir / (
-        "run_all_timings_quick.json" if quick else
-        "run_all_timings.json"
-    )
-    if not quick and args.only and timings_path.exists():
+    # Partial runs (--only) merge into the aggregate so the other
+    # benches' entries survive.
+    timings_path = results_dir / "run_all_timings.json"
+    if args.only and timings_path.exists():
         try:
             previous = json.loads(timings_path.read_text())
             merged = dict(previous.get("benches", {}))
@@ -112,7 +83,6 @@ def main(argv: list[str] | None = None) -> int:
         timings = merged
     timings_path.write_text(json.dumps({
         "total_seconds": round(time.perf_counter() - t_all, 3),
-        "quick": quick,
         "benches": dict(sorted(timings.items())),
     }, indent=2) + "\n")
     print(

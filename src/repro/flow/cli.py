@@ -19,11 +19,12 @@ import ast
 import json
 import sys
 
-from repro.flow.cache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, FlowCache
+from repro.flow.cache import CACHE_DIR_ENV, FlowCache
 from repro.flow.flows import describe_flows, get_flow
 from repro.flow.metrics import render_table
 from repro.flow.runner import FlowError, Runner, format_failure, \
     is_unavailable
+from repro.knobs import env_default
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -63,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="recompute every stage")
     p_run.add_argument("--cache-dir", default=None,
                        help=f"cache directory (default: "
-                            f"${CACHE_DIR_ENV} or {DEFAULT_CACHE_DIR})")
+                            f"{env_default(CACHE_DIR_ENV)})")
     p_run.add_argument("--metrics", metavar="FILE", default=None,
                        help="dump per-stage metrics as JSON")
     p_run.add_argument("--param", action="append", default=[],
@@ -90,23 +91,23 @@ def main(argv: list[str] | None = None) -> int:
         help="run the long-lived testability service (repro.serve)",
     )
     p_serve.add_argument("--host", default=None,
-                         help="bind address (default: $REPRO_SERVE_HOST "
-                              "or 127.0.0.1)")
+                         help=f"bind address (default: "
+                              f"{env_default('REPRO_SERVE_HOST')})")
     p_serve.add_argument("--port", type=int, default=None,
-                         help="TCP port, 0 picks a free one (default: "
-                              "$REPRO_SERVE_PORT or 8351)")
+                         help=f"TCP port, 0 picks a free one (default: "
+                              f"{env_default('REPRO_SERVE_PORT')})")
     p_serve.add_argument("--workers", type=int, default=None,
-                         help="concurrent flow executions "
-                              "(default: $REPRO_SERVE_WORKERS or 2)")
+                         help=f"concurrent flow executions (default: "
+                              f"{env_default('REPRO_SERVE_WORKERS')})")
     p_serve.add_argument("--jobs", type=int, default=None,
-                         help="warm-pool worker processes "
-                              "(default: $REPRO_SERVE_JOBS or 2)")
+                         help=f"warm-pool worker processes (default: "
+                              f"{env_default('REPRO_SERVE_JOBS')})")
     p_serve.add_argument("--queue", type=int, default=None,
-                         help="admission-control queue depth "
-                              "(default: $REPRO_SERVE_QUEUE or 64)")
+                         help=f"admission-control queue depth (default: "
+                              f"{env_default('REPRO_SERVE_QUEUE')})")
     p_serve.add_argument("--cache-dir", default=None,
                          help=f"shared flow cache (default: "
-                              f"${CACHE_DIR_ENV} or {DEFAULT_CACHE_DIR})")
+                              f"{env_default(CACHE_DIR_ENV)})")
     p_serve.add_argument("--prewarm", default=None, metavar="FLOW,FLOW",
                          help="flows whose recipe keys (and the worker "
                               "pool) are warmed before serving; "

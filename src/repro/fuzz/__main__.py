@@ -11,6 +11,7 @@ import sys
 
 from repro.fuzz.campaign import CampaignConfig, run_campaign
 from repro.fuzz.oracles import INJECTED_BUGS, ORACLES
+from repro.knobs import env_default
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,12 +54,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run the injected-bug harness instead of real "
                         "oracles (benchmark / self-test mode)")
     p.add_argument("--timeout", type=float, default=None,
-                   help="per-leg hang deadline in seconds "
-                        "(default: REPRO_FUZZ_TIMEOUT or 30)")
+                   help=f"per-leg hang deadline in seconds "
+                        f"(default: {env_default('REPRO_FUZZ_TIMEOUT')})")
     p.add_argument("--exec", dest="exec_mode",
                    choices=("pool", "inproc"), default=None,
-                   help="leg execution mode (default: REPRO_FUZZ_EXEC "
-                        "or pool)")
+                   help=f"leg execution mode "
+                        f"(default: {env_default('REPRO_FUZZ_EXEC')})")
     p.add_argument("--repro-dir", default="tests/repros",
                    help="directory for emitted pytest reproducers")
     p.add_argument("--no-minimize", action="store_true",

@@ -23,9 +23,9 @@ __all__ = [
     "KNOBS",
     "resolve",
     "rows",
+    "env_default",
     "coerce_int",
     "coerce_float",
-    "coerce_flag",
     "normalize_choice",
     "parse_weights",
 ]
@@ -39,10 +39,10 @@ class KnobError(ValueError):
 class Knob:
     """One knob's declaration.
 
-    ``kind`` is ``int``, ``float``, ``flag``, ``choice``, ``str``,
-    ``path`` or ``weights``; ``default`` is written as the environment
-    would spell it (empty: unset) and parsed like it; ``arg`` names the
-    per-call argument in error messages.
+    ``kind`` is ``int``, ``float``, ``choice``, ``str``, ``path`` or
+    ``weights``; ``default`` is written as the environment would spell
+    it (empty: unset) and parsed like it; ``arg`` names the per-call
+    argument in error messages.
     """
 
     kind: str
@@ -61,8 +61,6 @@ class Knob:
             return coerce_int(value, label, self.minimum, self.maximum)
         if self.kind == "float":
             return coerce_float(value, label, self.minimum, self.maximum)
-        if self.kind == "flag":
-            return coerce_flag(value, label)
         if self.kind == "choice":
             return normalize_choice(str(value), label, self.choices)
         if self.kind == "weights" and isinstance(value, str):
@@ -74,8 +72,6 @@ class Knob:
         """The rendered type column."""
         if self.kind == "choice":
             return "choice: " + "|".join(self.choices)
-        if self.kind == "flag":
-            return "flag: 1|0"
         if self.kind == "weights":
             return "tenant=weight,..."
         if self.maximum is not None:
@@ -122,10 +118,6 @@ KNOBS: dict[str, Knob] = {
         "path", "",
         "JSON chaos plan for deterministic fault injection "
         "(tests only; unset in production)",
-    ),
-    "REPRO_BENCH_QUICK": Knob(
-        "flag", "0",
-        "benchmarks run reduced sweeps and skip scoreboard rewrites",
     ),
     "REPRO_SERVE_HOST": Knob(
         "str", "127.0.0.1",
@@ -207,6 +199,11 @@ def rows() -> list[tuple[str, str, str, str]]:
             for name, k in sorted(KNOBS.items())]
 
 
+def env_default(name: str) -> str:
+    """``$NAME or <default>``: the fallback an option's help names."""
+    return f"${name} or {KNOBS[name].default}"
+
+
 def coerce_int(
     value: object,
     name: str,
@@ -255,25 +252,6 @@ def coerce_float(
         result = max(minimum, result)
     if maximum is not None:
         result = min(maximum, result)
-    return result
-
-
-_FLAG_VALUES = {
-    "1": True, "true": True, "on": True, "yes": True,
-    "0": False, "false": False, "off": False, "no": False,
-}
-
-
-def coerce_flag(value: object, name: str) -> bool:
-    """Validate a boolean-like value (1/0, true/false, on/off, yes/no)."""
-    if isinstance(value, bool):
-        return value
-    try:
-        result = _FLAG_VALUES[str(value).strip().lower()]
-    except KeyError:
-        raise KnobError(
-            f"{name}={value!r} is not a flag; try {name}=1 or {name}=0"
-        ) from None
     return result
 
 

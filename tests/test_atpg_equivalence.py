@@ -141,16 +141,18 @@ class TestShardedGeneration:
 
     def test_backends_identical(self, fullscan_nl):
         faults = all_faults(fullscan_nl)[:80]
-        ref = generate_tests(
-            fullscan_nl, faults=faults, backend="interp",
-            atpg_backend="reference",
-        )
-        if have_kernel():
-            acc = generate_tests(
-                fullscan_nl, faults=faults, backend="kernel",
-                atpg_backend="event",
+        # predrop=0 leaves every fault to PODEM and fault dropping
+        for predrop in (None, 0):
+            ref = generate_tests(
+                fullscan_nl, faults=faults, backend="interp",
+                atpg_backend="reference", predrop=predrop,
             )
-            assert _same_testset(ref, acc)
+            if have_kernel():
+                acc = generate_tests(
+                    fullscan_nl, faults=faults, backend="kernel",
+                    atpg_backend="event", predrop=predrop,
+                )
+                assert _same_testset(ref, acc), predrop
 
     def test_shard_resolution(self, fullscan_nl, monkeypatch):
         import repro.gatelevel.test_generation as tg

@@ -21,6 +21,7 @@ from repro.knobs import (
     KnobError,
     coerce_float,
     coerce_int,
+    env_default,
     normalize_choice,
     parse_weights,
     resolve,
@@ -33,7 +34,6 @@ CHOICES = {"kernel": (), "interp": ("interpreter", "reference")}
 MALFORMED = {
     "int": "lots",
     "float": "soon",
-    "flag": "maybe",
     "choice": "fancy",
     "weights": "justaname",
 }
@@ -48,8 +48,8 @@ def _clean_env(monkeypatch):
 
 
 class TestTable:
-    def test_seventeen_knobs(self):
-        assert len(KNOBS) == 17
+    def test_sixteen_knobs(self):
+        assert len(KNOBS) == 16
         assert [r[0] for r in rows()] == sorted(KNOBS)
 
     @pytest.mark.parametrize("name", sorted(KNOBS))
@@ -93,6 +93,7 @@ class TestTable:
         assert table["REPRO_FAULTSIM_BACKEND"] == (
             "choice: kernel|interp", "kernel")
         assert table["REPRO_CHAOS_PLAN"] == ("path", "(unset)")
+        assert env_default("REPRO_SERVE_PORT") == "$REPRO_SERVE_PORT or 8351"
 
 
 class TestCoerceInt:
@@ -188,13 +189,6 @@ class TestChoices:
         assert resolve("REPRO_FAULTSIM_BACKEND") == "interp"
         monkeypatch.setenv("REPRO_FUZZ_EXEC", "in-process")
         assert resolve("REPRO_FUZZ_EXEC") == "inproc"
-
-    def test_flags(self, monkeypatch):
-        assert resolve("REPRO_BENCH_QUICK") is False
-        for raw, want in (("1", True), ("on", True), ("0", False),
-                          ("No", False)):
-            monkeypatch.setenv("REPRO_BENCH_QUICK", raw)
-            assert resolve("REPRO_BENCH_QUICK") is want
 
 
 class TestKernelsRouteThroughKnobs:

@@ -15,7 +15,7 @@ import multiprocessing
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.flow import shm
 from repro.flow.metrics import collect
@@ -278,10 +278,13 @@ def eq_pool():
 class TestTransportEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(nl=netlists())
+    # At scale: an 11,975-gate genscale design, 64 sampled faults.
+    @example(nl=genscale.generate_netlist(10_000, seed=1,
+                                          signature_bits=32))
     def test_shm_and_pickle_agree(self, eq_pool, nl):
         import os
 
-        faults = all_faults(nl)
+        faults = genscale.sample_faults(nl, 64, seed=3)
         if len(faults) < 8:
             return
         seq = _sequence(nl, width=8, n_cycles=3)
@@ -291,19 +294,20 @@ class TestTransportEquivalence:
         try:
             for t in ("pickle", "shm"):
                 os.environ[shm.TRANSPORT_ENV] = t
-                got[t] = fault_sim.fault_simulate_cycles(
-                    nl, faults, seq, width=8, shards=2,
-                    backend="kernel",
-                )
+                for shards in (2, 4):
+                    got[t, shards] = fault_sim.fault_simulate_cycles(
+                        nl, faults, seq, width=8, shards=shards,
+                        backend="kernel",
+                    )
         finally:
             fault_sim.MIN_FAULTS_PER_SHARD = saved
             os.environ.pop(shm.TRANSPORT_ENV, None)
         serial = fault_sim.fault_simulate_cycles(
             nl, faults, seq, width=8, shards=1, backend="kernel",
         )
-        assert got["pickle"] == serial
-        assert got["shm"] == serial
-        assert list(got["shm"]) == list(serial)
+        for config, result in got.items():
+            assert result == serial, config
+            assert list(result) == list(serial), config
 
 
 # -- scale-proof generator -------------------------------------------------
