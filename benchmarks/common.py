@@ -10,7 +10,6 @@ entry, and prints the table when executed directly
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
@@ -89,23 +88,16 @@ class Table:
         self.save()
 
 
-def run_flow_table(flow, *, jobs: int | None = None,
-                   cache: bool | None = None, artifact: str = "table",
-                   metrics_path: str | None = None) -> Table:
-    """Execute a flow and rehydrate its ``table`` artifact.
+def run_flow_table(flow) -> Table:
+    """Execute a flow serially against the on-disk artifact cache and
+    rehydrate its ``table`` artifact.
 
-    The shared adapter every flow-ported bench goes through.  Knobs
-    default from the environment so one variable reconfigures the whole
-    suite: ``BENCH_JOBS`` (worker processes, default serial) and
-    ``BENCH_FLOW_CACHE`` (``0`` disables the on-disk artifact cache).
+    The shared adapter every flow-ported bench goes through.  Parallel
+    or cache-cold runs of the same flows go through the flow CLI
+    (``python -m repro.flow run <flow> --jobs N --no-cache``).
     """
     from repro.flow import FlowCache, Runner
 
-    if jobs is None:
-        jobs = int(os.environ.get("BENCH_JOBS", "1") or 1)
-    if cache is None:
-        cache = os.environ.get("BENCH_FLOW_CACHE", "1") != "0"
-    runner = Runner(cache=FlowCache(FLOWCACHE_DIR) if cache else None)
-    result = runner.run(flow, jobs=jobs, metrics_path=metrics_path)
-    return Table.from_spec(result[artifact])
+    result = Runner(cache=FlowCache(FLOWCACHE_DIR)).run(flow)
+    return Table.from_spec(result["table"])
 

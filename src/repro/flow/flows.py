@@ -493,8 +493,8 @@ def hier_apply(hier_composite, hier_steps, hier_tests, hier_faults,
         seq = [dict(piv, reset=(1 << w) - 1)] + [piv] * (hier_steps + 1)
         pattern_cycles += len(seq) * w * len(remaining)
         results = fault_simulate(
-            hier_composite, remaining, seq, width=w, drop_detected=True,
-            backend=backend, shards=shards,
+            hier_composite, remaining, seq, width=w, backend=backend,
+            shards=shards,
         )
         n_detected += sum(1 for hit in results.values() if hit)
         remaining = [f for f, hit in results.items() if not hit]

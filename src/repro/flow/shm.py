@@ -50,17 +50,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as _np
+
 from repro.knobs import resolve
 
 try:
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - platforms without shm support
     _shared_memory = None
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 TRANSPORT_ENV = "REPRO_SHARD_TRANSPORT"
 

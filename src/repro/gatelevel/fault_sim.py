@@ -9,8 +9,8 @@ Two engines produce bit-identical results:
 * the **compiled kernel** (:mod:`repro.gatelevel.kernel`): levelized
   numpy program, arbitrary word width, cone-restricted faulty
   evaluation — the default;
-* the **reference interpreter** below: per-gate dict walk, kept for
-  equivalence checking and numpy-free environments.
+* the **reference interpreter** below: per-gate dict walk, kept as the
+  oracle the kernel is checked against.
 
 Select with ``backend=`` (``"kernel"`` / ``"interp"``) or the
 ``REPRO_FAULTSIM_BACKEND`` environment variable.  ``shards=`` (or
@@ -37,13 +37,8 @@ MIN_FAULTS_PER_SHARD = 16
 
 def resolve_backend(backend: str | None = None) -> str:
     """The fault-simulation engine: ``backend`` >
-    ``REPRO_FAULTSIM_BACKEND`` > kernel, and the interpreter wherever
-    the kernel cannot run (no numpy)."""
-    from repro.gatelevel import kernel
-
-    if resolve("REPRO_FAULTSIM_BACKEND", backend) == "interp":
-        return "interp"
-    return "kernel" if kernel.have_kernel() else "interp"
+    ``REPRO_FAULTSIM_BACKEND`` > kernel."""
+    return resolve("REPRO_FAULTSIM_BACKEND", backend)
 
 
 def _observable_difference(
@@ -68,7 +63,6 @@ def fault_simulate(
     pi_sequence: Sequence[Mapping[str, int]],
     width: int = 64,
     initial_state: Mapping[str, int] | None = None,
-    drop_detected: bool = False,
     backend: str | None = None,
     shards: int | None = None,
     collapse: bool | None = None,
@@ -76,8 +70,8 @@ def fault_simulate(
     """Simulate a vector sequence against every fault; fault -> detected."""
     cycles = fault_simulate_cycles(
         netlist, faults, pi_sequence, width=width,
-        initial_state=initial_state, drop_detected=drop_detected,
-        backend=backend, shards=shards, collapse=collapse,
+        initial_state=initial_state, backend=backend, shards=shards,
+        collapse=collapse,
     )
     return {f: c is not None for f, c in cycles.items()}
 
@@ -88,7 +82,6 @@ def fault_simulate_cycles(
     pi_sequence: Sequence[Mapping[str, int]],
     width: int = 64,
     initial_state: Mapping[str, int] | None = None,
-    drop_detected: bool = False,
     backend: str | None = None,
     shards: int | None = None,
     collapse: bool | None = None,
@@ -99,15 +92,8 @@ def fault_simulate_cycles(
     int packs ``width`` patterns that run as independent sequences).
     Scan flip-flops count as observation points each cycle, and their
     state is *not* corrupted across cycles in the faulty machine (scan
-    reload), unless the fault sits on the scan FF itself.
-
-    With ``drop_detected`` the simulation walks cycles outermost and
-    retires each fault the moment it is detected; once every fault is
-    detected the remaining cycles -- including the good-machine
-    simulation of them -- are skipped entirely.  Results are identical
-    either way (per fault, the same cycles are simulated up to its
-    first detection); only the amount of work for fully-detected fault
-    lists differs.
+    reload), unless the fault sits on the scan FF itself.  Each fault
+    stops simulating at its first detection.
 
     With ``collapse`` (default on) only one representative per
     structural equivalence class is simulated and the per-class result
@@ -127,8 +113,7 @@ def fault_simulate_cycles(
             record_collapse_metrics(len(faults), len(reps))
             res = fault_simulate_cycles(
                 netlist, reps, pi_sequence, width=width,
-                initial_state=initial_state,
-                drop_detected=drop_detected, backend=backend,
+                initial_state=initial_state, backend=backend,
                 shards=shards, collapse=False,
             )
             return cmap.expand(res, list(faults))
@@ -136,31 +121,32 @@ def fault_simulate_cycles(
     if chunks:
         return _fault_simulate_sharded(
             netlist, faults, chunks, pi_sequence, width, initial_state,
-            drop_detected, backend,
+            backend,
         )
     t0 = time.perf_counter()
     if backend == "kernel":
         from repro.gatelevel.kernel import compiled
 
-        comp = compiled(netlist)
-        result = comp.fault_simulate_cycles(
-            faults, pi_sequence, width=width,
-            initial_state=initial_state, drop_detected=drop_detected,
+        result = compiled(netlist).fault_simulate_cycles(
+            faults, pi_sequence, width=width, initial_state=initial_state,
         )
-        _record_pps(comp._pattern_cycles, time.perf_counter() - t0)
-        return result
-    result = _fault_simulate_cycles_interp(
-        netlist, faults, pi_sequence, width, initial_state, drop_detected
-    )
-    work = sum(
-        width * (len(pi_sequence) if c is None else c + 1)
-        for c in result.values()
-    )
-    _record_pps(work, time.perf_counter() - t0)
+    else:
+        result = _fault_simulate_cycles_interp(
+            netlist, faults, pi_sequence, width, initial_state
+        )
+    _record_pps(result, width, len(pi_sequence), time.perf_counter() - t0)
     return result
 
 
-def _record_pps(pattern_cycles: int, seconds: float, shard: int | None = None) -> None:
+def _record_pps(result: Mapping[Fault, int | None], width: int,
+                cycles: int, seconds: float,
+                shard: int | None = None) -> None:
+    """Patterns/sec of one simulation: each fault ran ``width``
+    patterns for every cycle up to its first detection (all
+    ``cycles`` if undetected)."""
+    pattern_cycles = sum(
+        width * (cycles if c is None else c + 1) for c in result.values()
+    )
     if seconds > 0 and pattern_cycles:
         name = "patterns_per_s" if shard is None else f"shard{shard}_pps"
         record_metric(name, round(pattern_cycles / seconds, 1))
@@ -174,17 +160,14 @@ def _shard_worker(args):
 
     _digest, netlist, chunk, shared, params = open_shard(args)
     pi, state = shared["pi"], shared.get("state")
-    width = params["width"]
     t0 = time.perf_counter()
     if params["backend"] == "kernel":
         from repro.gatelevel.kernel import compiled
 
-        comp = compiled(netlist)
-        res = comp.fault_simulate_cycles(
-            chunk, None, width=width, initial_state=state,
-            drop_detected=params["drop_detected"], pi_words=pi,
+        res = compiled(netlist).fault_simulate_cycles(
+            chunk, None, width=params["width"], initial_state=state,
+            pi_words=pi,
         )
-        work = comp._pattern_cycles
     else:
         # collapse=False: the parent collapsed before sharding, so the
         # chunk already holds representatives only.
@@ -192,11 +175,7 @@ def _shard_worker(args):
             netlist, chunk, pi, initial_state=state, shards=1,
             collapse=False, **params,
         )
-        work = sum(
-            width * (len(pi) if c is None else c + 1)
-            for c in res.values()
-        )
-    return res, work, time.perf_counter() - t0
+    return res, time.perf_counter() - t0
 
 
 #: One worker serves both transports; the name stays because the
@@ -211,7 +190,6 @@ def _fault_simulate_sharded(
     pi_sequence: Sequence[Mapping[str, int]],
     width: int,
     initial_state: Mapping[str, int] | None,
-    drop_detected: bool,
     backend: str,
 ) -> dict[Fault, int | None]:
     """Run the planned fault ``chunks`` across worker processes;
@@ -243,11 +221,11 @@ def _fault_simulate_sharded(
         _shard_worker, netlist, chunks, "faultsim_shard",
         shared={"pi": pi,
                 "state": dict(initial_state) if initial_state else None},
-        width=width, drop_detected=drop_detected, backend=backend,
+        width=width, backend=backend,
     )
     merged: dict[Fault, int | None] = {}
-    for i, (res, work, secs) in enumerate(results):
-        _record_pps(work, secs, shard=i)
+    for i, (res, secs) in enumerate(results):
+        _record_pps(res, width, len(pi_sequence), secs, shard=i)
         merged.update(res)
     return {f: merged[f] for f in faults}
 
@@ -261,46 +239,10 @@ def _fault_simulate_cycles_interp(
     pi_sequence: Sequence[Mapping[str, int]],
     width: int = 64,
     initial_state: Mapping[str, int] | None = None,
-    drop_detected: bool = False,
 ) -> dict[Fault, int | None]:
     order = netlist.topo_order()
     mask = (1 << width) - 1
     scan_names = {g.name for g in netlist.scan_dffs()}
-
-    def forced_for(fault: Fault) -> dict[str, int]:
-        return {fault.net: 0 if fault.stuck_at == 0 else mask}
-
-    if drop_detected:
-        detected: dict[Fault, int | None] = {f: None for f in faults}
-        states = {f: dict(initial_state or {}) for f in faults}
-        good_state = dict(initial_state or {})
-        active = list(faults)
-        for cycle, piv in enumerate(pi_sequence):
-            if not active:
-                break
-            gvals, gnxt = parallel_simulate(
-                netlist, piv, good_state, width=width, order=order
-            )
-            good_state = gnxt
-            still_active = []
-            for fault in active:
-                vals, nxt = parallel_simulate(
-                    netlist, piv, states[fault], width=width,
-                    order=order, forced=forced_for(fault),
-                )
-                if _observable_difference(netlist, gvals, gnxt, vals,
-                                          nxt):
-                    detected[fault] = cycle
-                    states.pop(fault, None)
-                    continue
-                # Scan reload: scanned state follows the good machine.
-                for name in scan_names:
-                    if name != fault.net:
-                        nxt[name] = gnxt[name]
-                states[fault] = nxt
-                still_active.append(fault)
-            active = still_active
-        return detected
 
     # Good-machine trace.
     good: list[tuple[dict[str, int], dict[str, int]]] = []
@@ -312,9 +254,9 @@ def _fault_simulate_cycles_interp(
         good.append((vals, nxt))
         state = nxt
 
-    detected = {}
+    detected: dict[Fault, int | None] = {}
     for fault in faults:
-        forced = forced_for(fault)
+        forced = {fault.net: 0 if fault.stuck_at == 0 else mask}
         state = dict(initial_state or {})
         seen: int | None = None
         for cycle, piv in enumerate(pi_sequence):

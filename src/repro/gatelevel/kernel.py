@@ -12,42 +12,41 @@ integer-indexed program and evaluates it over numpy ``uint64`` words:
 * **Wide words** — net values are ``(n_words,)`` vectors of ``uint64``,
   simulating ``width = 64 * n_words`` packed patterns per pass instead
   of capping at 64.
-* **Cone-restricted faulty evaluation** — for each fault site the
-  kernel precomputes the fanout closure the fault can change, and the
-  faulty machine re-evaluates only the gates in it, splicing
-  good-machine values everywhere else; a scratch/restore discipline
-  keeps the per-fault cost proportional to the cone, not the netlist.
-  A single capture cycle (:meth:`CompiledNetlist.cone`) stops the
-  closure at every flip-flop: a reached flip-flop is an observation
-  sink (its captured next state), but its output is present state the
-  fault cannot change within the cycle.  Multi-cycle fault batches stop
+* **Cone-restricted faulty evaluation** — a fault can change only the
+  fanout closure of its site (:meth:`CompiledNetlist.cone`), so a
+  faulty machine re-evaluates only the gates in it and keeps
+  good-machine values everywhere else.  A single capture cycle
+  (random pre-drop masks, transition-fault pairs) stops the closure at
+  every flip-flop: a reached flip-flop is an observation sink (its
+  captured next state), but its output is present state the fault
+  cannot change within the cycle.  Multi-cycle fault simulation stops
   only at scan flip-flops, which reload from the good machine every
-  cycle, and still cross non-scan flip-flops.  Both closures gather
-  their kept instructions through one compile-time row -> (group,
-  position) map, so building a cone costs its size, not the program's.
-* **Fault-batched blocks** — fault simulation packs faulty machines
-  side by side along the word axis (fault *b* owns columns
-  ``b*n_words:(b+1)*n_words``) and evaluates the *union* of their cones
-  in one pass, re-forcing each site inside its own block when its level
-  completes.  Blocks are column-disjoint, and a row outside fault *b*'s
-  cone recomputes to good-machine values in block *b* (its inputs are
-  good there), so per-block detection against the union's observation
-  rows is exact.  A batch holds as many faults as fit
-  :data:`BATCH_SCRATCH_WORDS` of scratch (never fewer than
-  :data:`FAULT_BATCH`), and once detection has thinned the live columns
-  to :data:`REPACK_LIVE_SHARE` of those held, the survivors are rebuilt
-  into fresh batches, each carrying its faulty state.  Both keep each
-  numpy call wide, amortising the per-call overhead that would
-  otherwise dominate on per-fault-sized arrays (see
-  ``docs/fault_batches.md``).
+  cycle, and still crosses non-scan flip-flops.  Kept instructions are
+  gathered through one compile-time row -> (group, position) map, so
+  building a closure's program costs its size, not the program's.
+* **Fault-batched blocks** — every scan-observed faulty machine runs in
+  a fault batch: faulty machines packed side by side along the word
+  axis (fault *b* owns columns ``b*n_words:(b+1)*n_words`` and forces
+  its site to its own word vector -- its stuck value, or a transition
+  fault's late value) evaluate the *union* of their cones in one pass,
+  re-forcing each site inside its own block when its level completes.
+  Blocks are column-disjoint, and a row outside fault *b*'s cone
+  recomputes to good-machine values in block *b* (its inputs are good
+  there), so per-block detection masks against the union's observation
+  rows are exact.  One-cycle callers keep those masks; multi-cycle
+  fault simulation keeps each fault's first detecting cycle.  A batch
+  holds as many faults as fit :data:`BATCH_SCRATCH_WORDS` of scratch
+  (never fewer than :data:`FAULT_BATCH`), and once detection has
+  thinned the live columns to :data:`REPACK_LIVE_SHARE` of those held,
+  the survivors are rebuilt into fresh batches, each carrying its
+  faulty state.  Both keep each numpy call wide, amortising the
+  per-call overhead that would otherwise dominate on per-fault-sized
+  arrays (see ``docs/fault_batches.md``).
 
 Results are bit-identical to the interpreter (property-tested in
 ``tests/test_kernel_equivalence.py``): stuck-at forcing applies after a
 net evaluates, scan flip-flops observe each cycle and reload from the
 good machine, and a fault on a scan FF keeps corrupting its own state.
-
-The kernel degrades gracefully: when numpy is unavailable,
-:func:`have_kernel` is False and callers fall back to the interpreter.
 """
 
 from __future__ import annotations
@@ -58,18 +57,16 @@ from collections import OrderedDict
 from typing import Mapping, Sequence
 from weakref import WeakKeyDictionary
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as _np
 
 from repro.gatelevel.faults import Fault
-from repro.gatelevel.gates import COMBINATIONAL_KINDS, Netlist, NetlistError
+from repro.gatelevel.gates import Netlist, NetlistError
 
 
 def have_kernel() -> bool:
-    """True when the compiled kernel can run (numpy importable)."""
-    return _np is not None
+    """Always True: numpy is a declared dependency, so the compiled
+    kernel always runs (kept for the environment perfbench prints)."""
+    return True
 
 
 # Opcodes.  Sources first, then unary, then the binary/ternary ops.
@@ -106,7 +103,7 @@ REPACK_LIVE_SHARE = 0.5
 #: golden machine, so each pass carries ``SEQ_FAULT_COLUMNS - 1`` faults)
 SEQ_FAULT_COLUMNS = 256
 
-#: per-row flip-flop kinds, which are also :meth:`CompiledNetlist._closure`
+#: per-row flip-flop kinds, which are also :meth:`CompiledNetlist.cone`
 #: stop levels: a single capture cycle stops at every flip-flop
 #: (``FF_ANY``), a multi-cycle fault batch only at scan ones (``FF_SCAN``)
 FF_ANY, FF_SCAN = 1, 2
@@ -116,22 +113,25 @@ class _FaultBatch:
     """Faulty machines sharing one pass over a ``(n_gates, size*nw)``
     scratch view, fault *b* in word columns ``b*nw:(b+1)*nw``.
 
-    ``levels`` is the union-of-cones program grouped by level.  A
-    forcing is a pair ``(flat indices, words)`` that writes each fault's
-    stuck words into its own columns of a C-ordered array with rows
-    ``size*nw`` words wide: ``force`` writes every site into the scratch
-    before the program runs, each level carries the forcing of the
-    sites it evaluates (or None), and ``force_state`` writes the next
-    state of flip-flop sites.  ``state`` holds every flip-flop's faulty
-    present state.
+    Fault *b* forces gate row ``sites[b]`` to ``words[b]``.  ``levels``
+    is the union-of-cones program grouped by level.  A forcing is a
+    pair ``(flat indices, words)`` that writes each fault's words into
+    its own columns of a C-ordered array with rows ``size*nw`` words
+    wide: ``force`` writes every site into the scratch before the
+    program runs, each level carries the forcing of the sites it
+    evaluates (or None), and ``force_state`` writes the next state of
+    flip-flop sites.  ``state`` holds every flip-flop's faulty present
+    state.
     """
 
-    __slots__ = ("faults", "size", "alive", "levels", "force",
-                 "force_state", "obs_out", "obs_scan", "state")
+    __slots__ = ("faults", "sites", "words", "size", "alive", "levels",
+                 "force", "force_state", "obs_out", "obs_scan", "state")
 
-    def __init__(self, faults, levels, force, force_state, obs_out,
-                 obs_scan, state) -> None:
+    def __init__(self, faults, sites, words, levels, force, force_state,
+                 obs_out, obs_scan, state) -> None:
         self.faults = faults
+        self.sites = sites            # (size,) gate rows
+        self.words = words            # (size, nw) forced words
         self.size = len(faults)
         self.alive = _np.ones(self.size, dtype=bool)
         self.levels = levels          # [(instructions, forcing or None)]
@@ -140,23 +140,6 @@ class _FaultBatch:
         self.obs_out = obs_out        # union observation: output rows
         self.obs_scan = obs_scan      # union observation: scan DFF pos
         self.state = state            # (n_dffs, size*nw) faulty state
-
-
-class _Cone:
-    """Per-fault-site restricted program: the site's one-cycle closure."""
-
-    __slots__ = ("site", "program", "touched", "obs_out", "obs_scan",
-                 "obs_d", "site_obs")
-
-    def __init__(self, site: int, program: list, touched, obs_out,
-                 obs_scan, obs_d, site_obs: int | None) -> None:
-        self.site = site
-        self.program = program        # [(op, dst, a, b, c)] in level order
-        self.touched = touched        # comb gate rows the faulty eval writes
-        self.obs_out = obs_out        # output rows that can differ
-        self.obs_scan = obs_scan      # scan-DFF positions that can differ
-        self.obs_d = obs_d            # their D-input rows
-        self.site_obs = site_obs      # index of the site in obs_scan
 
 
 def _group_index(program: Sequence[tuple], level):
@@ -219,8 +202,6 @@ class CompiledNetlist:
     """A :class:`Netlist` levelized into a flat numpy program."""
 
     def __init__(self, netlist: Netlist) -> None:
-        if _np is None:
-            raise NetlistError("compiled kernel requires numpy")
         # Fail on malformed structure here, with a NetlistError naming
         # the offending net, rather than as a numpy shape error three
         # layers down in the levelized program.
@@ -297,7 +278,7 @@ class CompiledNetlist:
 
         # Fanout adjacency (a DFF "consumes" its D input, which folds
         # the cross-cycle edge D -> state into the closure), and each
-        # row's flip-flop kind, where closures stop (see :meth:`_closure`).
+        # row's flip-flop kind, where closures stop (see :meth:`cone`).
         consumers: list[list[int]] = [[] for _ in range(n)]
         for i, name in enumerate(order):
             g = netlist.gate(name)
@@ -307,7 +288,6 @@ class CompiledNetlist:
         self._ff_kind = bytearray(n)
         for row, scan in zip(dff_rows, scan_flags):
             self._ff_kind[row] = FF_SCAN if scan else FF_ANY
-        self._cones: dict[int, _Cone] = {}
 
     # ------------------------------------------------------------------
     # word packing
@@ -449,15 +429,18 @@ class CompiledNetlist:
     # ------------------------------------------------------------------
     # cone-restricted faulty evaluation
 
-    def _closure(self, roots, stop: int) -> set[int]:
-        """Rows reachable from ``roots`` along fanout edges.
+    def cone(self, sites, stop: int) -> set[int]:
+        """Rows reachable from the gate rows ``sites`` along fanout
+        edges: the union of their fault cones, the sites included.
 
         A reached flip-flop of kind ``stop`` or above joins the closure
-        -- as an observation sink -- but is not expanded; roots always
-        expand.
+        -- as an observation sink -- but is not expanded; a site always
+        expands, since its fault forces its output.  A single capture
+        cycle stops at every flip-flop (``FF_ANY``): within one cycle a
+        flip-flop's output is present state the fault cannot change.
         """
         consumers, kind = self._consumers, self._ff_kind
-        seen = set(roots)
+        seen = set(sites)
         stack = list(seen)
         while stack:
             for k in consumers[stack.pop()]:
@@ -507,73 +490,6 @@ class CompiledNetlist:
         member[_np.fromiter(rows, dtype=_np.int64, count=len(rows))] = True
         return (self.output_rows[member[self.output_rows]],
                 self.scan_pos[member[self.dff_rows[self.scan_pos]]])
-
-    def cone(self, site: int) -> _Cone:
-        """The single-capture-cycle fanout closure of gate row ``site``
-        (cached).
-
-        It stops at every flip-flop: within one cycle a flip-flop's
-        output is present state the fault cannot change, so a reached
-        flip-flop only observes (captures) the fault.  A flip-flop site
-        still expands, since the fault forces its output.
-        """
-        c = self._cones.get(site)
-        if c is not None:
-            return c
-        seen = self._closure((site,), FF_ANY)
-        program = [
-            instr
-            for _lvl, instrs in self._kept_levels(seen - {site})
-            for instr in instrs
-        ]
-        touched = (_np.sort(_np.concatenate([i[1] for i in program]))
-                   if program else _np.zeros(0, dtype=_np.int64))
-        obs_out, obs_scan = self._observed(seen)
-        site_obs = _np.flatnonzero(
-            obs_scan == self.dff_pos.get(site, -1)
-        )
-        cone = _Cone(
-            site, program, touched, obs_out, obs_scan,
-            self.dff_d_rows[obs_scan],
-            int(site_obs[0]) if len(site_obs) else None,
-        )
-        self._cones[site] = cone
-        return cone
-
-    def _faulty_cycle(self, VS, cone: _Cone, forced_words, mask) -> None:
-        """Evaluate the faulty machine into scratch ``VS``.
-
-        ``VS`` must hold this cycle's good-machine values on entry
-        (present state included); only the site and the cone's gates
-        are rewritten.  Call :meth:`_restore` before reusing ``VS`` as
-        good values.
-        """
-        VS[cone.site] = forced_words
-        self._run_program(VS, cone.program, mask)
-
-    def _restore(self, VS, VG, cone: _Cone) -> None:
-        if len(cone.touched):
-            VS[cone.touched] = VG[cone.touched]
-        VS[cone.site] = VG[cone.site]
-
-    def diff_words(self, VS, VG, gnxt, cone: _Cone, forced_words):
-        """Packed mask of patterns where the fault is observable: at an
-        output, or in a scan flip-flop's captured state (a fault on the
-        flip-flop itself captures its stuck value)."""
-        nw = VS.shape[1]
-        diff = _np.zeros(nw, dtype=_np.uint64)
-        if len(cone.obs_out):
-            diff |= _np.bitwise_or.reduce(
-                VS[cone.obs_out] ^ VG[cone.obs_out], axis=0
-            )
-        if len(cone.obs_scan):
-            bnxt = VS[cone.obs_d]
-            if cone.site_obs is not None:
-                bnxt[cone.site_obs] = forced_words
-            diff |= _np.bitwise_or.reduce(
-                bnxt ^ gnxt[cone.obs_scan], axis=0
-            )
-        return diff
 
     # ------------------------------------------------------------------
     # interpreter-compatible façades
@@ -767,66 +683,101 @@ class CompiledNetlist:
 
         The single-cycle analogue of :func:`transition_pair_detect`:
         the good machine evaluates once for the whole packed block and
-        each fault replays only its cone.  Bit *p* of the returned mask
-        is set when pattern *p* of the block detects the fault at an
-        output or a scan flip-flop's captured state — exactly the
-        condition the interpreter's ``_observable_difference`` checks.
-        Used by the random-pattern pre-drop stage of
+        the faults run as one-cycle fault batches.  Bit *p* of the
+        returned mask is set when pattern *p* of the block detects the
+        fault at an output or a scan flip-flop's captured state —
+        exactly the condition the interpreter's
+        ``_observable_difference`` checks.  Used by the random-pattern
+        pre-drop stage of
         :func:`repro.gatelevel.test_generation.generate_tests`.
         """
         mask = self._mask_words(width)
-        pw = self._pi_matrix(pi_values, width)
         sw = self._state_matrix(state, width)
-        VG, gnxt = self.good_cycle(pw, sw, width)
-        VS = VG.copy()
-        nw = _n_words(width)
-        zero = _np.zeros(nw, dtype=_np.uint64)
-        out: dict[Fault, int] = {}
-        for f in faults:
-            site = self.index.get(f.net)
-            if site is None:
-                out[f] = 0
-                continue
-            forced_words = zero if f.stuck_at == 0 else mask
-            cone = self.cone(site)
-            self._faulty_cycle(VS, cone, forced_words, mask)
-            diff = self.diff_words(VS, VG, gnxt, cone, forced_words)
-            self._restore(VS, VG, cone)
-            out[f] = self.int_from_words(diff)
+        VG, gnxt = self.good_cycle(self._pi_matrix(pi_values, width), sw,
+                                   width)
+        known = [f for f in faults if f.net in self.index]
+        diff = self._capture_masks(*self._stuck(known, mask), VG, gnxt, sw,
+                                   mask)
+        out = dict.fromkeys(faults, 0)
+        out.update(zip(known, map(self.int_from_words, diff)))
         return out
 
-    # ------------------------------------------------------------------
-    # fault simulation
+    def _capture_masks(self, sites, words, VG, gnxt, state, mask):
+        """``(n, n_words)`` detection masks of one capture cycle from
+        present ``state``, whose good values and next state are ``VG``
+        and ``gnxt``; faulty machine *i* forces row ``sites[i]`` to
+        ``words[i]``."""
+        # Each batch names its machines by their row in the result.
+        batches, scratch, mask_b = self._batches(
+            range(len(sites)), sites, words, state, FF_ANY, mask)
+        diff = _np.zeros_like(words)
+        for batch in batches:
+            diff[batch.faults] = self._batch_step(batch, scratch, mask_b,
+                                                  VG, gnxt)
+        return diff
 
-    def _make_batch(self, faults: Sequence[Fault], width: int, state,
-                    mask) -> _FaultBatch:
+    # ------------------------------------------------------------------
+    # fault batches
+
+    def _stuck(self, faults: Sequence[Fault], mask):
+        """``(sites, words)`` of stuck-at ``faults`` on known nets."""
+        sites = _np.array([self.index[f.net] for f in faults],
+                          dtype=_np.int64)
+        words = _np.array([f.stuck_at for f in faults], dtype=_np.uint64)
+        return sites, words[:, None] * mask
+
+    def _batches(self, faults, sites, words, state, stop: int, mask):
+        """``faults`` as batches from one shared present ``state``, plus
+        the flat scratch and tiled mask every batch step runs on.
+
+        Sorting by site keeps each batch's union of cones tight, and a
+        batch holds as many faults as fit the scratch budget; one buffer
+        serves every batch, a narrower one as a leading view.
+        """
+        nw = len(mask)
+        per = max(FAULT_BATCH, BATCH_SCRATCH_WORDS // (self.n_gates * nw))
+        order = _np.argsort(sites, kind="stable")
+        faults = [faults[i] for i in order.tolist()]
+        sites, words = sites[order], words[order]
+        widest = min(per, len(faults))
+        batches = [
+            self._make_batch(faults[i:i + per], sites[i:i + per],
+                             words[i:i + per], state, stop)
+            for i in range(0, len(faults), per)
+        ]
+        return (batches,
+                _np.zeros(self.n_gates * widest * nw, dtype=_np.uint64),
+                _np.tile(mask, widest))
+
+    def _make_batch(self, faults, sites, words, state,
+                    stop: int) -> _FaultBatch:
         """Compile one fault batch: union-of-cones program plus
         per-fault forcing/observation bookkeeping.
 
-        ``state`` is the faults' present state: ``(n_dffs, n_words)``
-        shared by every fault, or one ``n_words`` column block each.
+        Fault *b* forces gate row ``sites[b]`` to ``words[b]``, a row of
+        the ``(size, n_words)`` ``words``.  ``state`` is the faults'
+        present state: ``(n_dffs, n_words)`` shared by every fault, or
+        one ``n_words`` column block each.
 
-        The union stops at scan flip-flops other than the batch's own
-        sites -- :meth:`_batch_cycle` reloads those from the good
+        ``stop`` ends the union (see :meth:`cone`).  A single capture
+        cycle stops at every flip-flop.  A multi-cycle batch stops at
+        scan flip-flops other than the batch's own sites --
+        :meth:`fault_simulate_cycles` reloads those from the good
         machine every cycle, so no fault effect leaves through them --
         and crosses non-scan flip-flops, whose faulty state carries
         into the next cycle.
         """
-        nw = _n_words(width)
-        size = len(faults)
-        sites = [self.index[f.net] for f in faults]
-        seen = self._closure(sites, FF_SCAN)
-        # Fault b's forced words, and where they go in a row of the
-        # (., size*nw) batch arrays: columns b*nw .. b*nw + nw - 1.
-        words = _np.array([f.stuck_at for f in faults],
-                          dtype=_np.uint64)[:, None] * mask
+        size, nw = words.shape
+        seen = self.cone(sites.tolist(), stop)
+        # Where fault b's words go in a row of the (., size*nw) batch
+        # arrays: columns b*nw .. b*nw + nw - 1.
         cols = _np.arange(size * nw).reshape(size, nw)
-        at = _np.array(sites, dtype=_np.int64)[:, None] * (size * nw) + cols
+        at = sites[:, None] * (size * nw) + cols
         # Site re-forcings, keyed by the level whose evaluation would
         # overwrite them (source-row sites are never overwritten).
         by_level: dict[int, list[int]] = {}
         dff_blocks: list[int] = []
-        for blk, site in enumerate(sites):
+        for blk, site in enumerate(sites.tolist()):
             if self.opcode[site] >= OP_BUF:
                 by_level.setdefault(int(self.level[site]), []).append(blk)
             elif site in self.dff_pos:
@@ -836,9 +787,9 @@ class CompiledNetlist:
         levels = [(instrs, fixes.get(lvl))
                   for lvl, instrs in self._kept_levels(seen)]
         obs_out, obs_scan = self._observed(seen)
-        # A flip-flop site captures its stuck value as next state.
+        # A flip-flop site captures its forced words as next state.
         at_state = _np.array(
-            [self.dff_pos[sites[blk]] for blk in dff_blocks],
+            [self.dff_pos[int(sites[blk])] for blk in dff_blocks],
             dtype=_np.int64,
         )[:, None] * (size * nw) + cols[dff_blocks]
         ndff = len(self.dff_rows)
@@ -847,72 +798,69 @@ class CompiledNetlist:
             (ndff, size, nw),
         ).reshape(ndff, size * nw)
         return _FaultBatch(
-            list(faults), levels, (at.ravel(), words.ravel()),
+            list(faults), sites, words, levels,
+            (at.ravel(), words.ravel()),
             (at_state.ravel(), words[dff_blocks].ravel()), obs_out,
             obs_scan, state,
         )
 
-    def _batch_cycle(self, batch: _FaultBatch, VS, mask_b, VG, gnxt,
-                     nw: int, width: int, cycle: int,
-                     detected: dict) -> None:
+    def _batch_step(self, batch: _FaultBatch, scratch, mask_b, VG,
+                    gnxt):
         """One clock edge for every fault block in ``batch``, as
-        whole-batch numpy operations; detected faults land in
-        ``detected`` and leave ``batch.alive``.
+        whole-batch numpy operations on a leading view of the flat
+        ``scratch`` (``mask_b``: the word mask tiled per block).
 
-        A detected block still evaluates until the batch is repacked or
-        dies, but nothing reads its columns again.
+        Returns the ``(size, n_words)`` detection masks: the patterns
+        where block *b* differs from the good machine (``VG``,
+        ``gnxt``) at an output or in a scan flip-flop's captured state.
+        Each block's next state lands in ``batch.state``.
         """
-        B = batch.size
+        B, nw = batch.words.shape
+        cols = B * nw
+        VS = scratch[:self.n_gates * cols].reshape(self.n_gates, cols)
         VS.reshape(self.n_gates, B, nw)[:] = VG[:, None, :]
         VS[self.dff_rows] = batch.state
         flat = VS.reshape(-1)
         flat[batch.force[0]] = batch.force[1]
         for instrs, fix in batch.levels:
-            self._run_program(VS, instrs, mask_b)
+            self._run_program(VS, instrs, mask_b[:cols])
             if fix is not None:
                 flat[fix[0]] = fix[1]
         bnxt = VS[self.dff_d_rows]
         bnxt.reshape(-1)[batch.force_state[0]] = batch.force_state[1]
-        hit = _np.zeros(B, dtype=bool)
-        if len(batch.obs_out):
-            hit |= (VS[batch.obs_out].reshape(-1, B, nw)
-                    != VG[batch.obs_out, None, :]).any(axis=(0, 2))
-        if len(batch.obs_scan):
-            hit |= (bnxt[batch.obs_scan].reshape(-1, B, nw)
-                    != gnxt[batch.obs_scan, None, :]).any(axis=(0, 2))
-        alive = batch.alive
-        self._pattern_cycles += width * int(_np.count_nonzero(alive))
-        hit &= alive
-        for blk in _np.flatnonzero(hit).tolist():
-            detected[batch.faults[blk]] = cycle
-        alive &= ~hit
-        # Scan reload: scanned state follows the good machine.  A scan FF
-        # carrying the fault itself needs no exception: a site is forced
-        # again right after state loads, so its stored state is unread.
-        sp = self.scan_pos
-        if len(sp):
-            bnxt.reshape(-1, B, nw)[sp] = gnxt[sp, None, :]
         batch.state = bnxt
+        diff = _np.zeros((B, nw), dtype=_np.uint64)
+        for rows, faulty, good in ((batch.obs_out, VS, VG),
+                                   (batch.obs_scan, bnxt, gnxt)):
+            if len(rows):
+                diff |= _np.bitwise_or.reduce(
+                    faulty[rows].reshape(-1, B, nw) ^ good[rows, None, :],
+                    axis=0,
+                )
+        return diff
 
-    def _repack(self, batches: Sequence[_FaultBatch], per: int,
-                width: int, mask) -> list[_FaultBatch]:
+    def _repack(self, batches: Sequence[_FaultBatch],
+                per: int) -> list[_FaultBatch]:
         """The live faults of ``batches`` rebuilt into batches of
         ``per``, in site order, each carrying its faulty state."""
-        nw = _n_words(width)
+        nw = batches[0].words.shape[1]
         ndff = len(self.dff_rows)
-        faults: list[Fault] = []
-        states = []
-        for b in batches:
-            live = _np.flatnonzero(b.alive)
-            faults += [b.faults[i] for i in live.tolist()]
-            states.append(b.state.reshape(ndff, b.size, nw)[:, live]
-                          .reshape(ndff, len(live) * nw))
-        state = _np.concatenate(states, axis=1)
+        live = [(b, _np.flatnonzero(b.alive)) for b in batches]
+        faults = [b.faults[i] for b, at in live for i in at.tolist()]
+        sites = _np.concatenate([b.sites[at] for b, at in live])
+        words = _np.concatenate([b.words[at] for b, at in live])
+        state = _np.concatenate(
+            [b.state.reshape(ndff, b.size, nw)[:, at]
+             .reshape(ndff, len(at) * nw) for b, at in live], axis=1)
         return [
-            self._make_batch(faults[i:i + per], width,
-                             state[:, i * nw:(i + per) * nw], mask)
+            self._make_batch(faults[i:i + per], sites[i:i + per],
+                             words[i:i + per],
+                             state[:, i * nw:(i + per) * nw], FF_SCAN)
             for i in range(0, len(faults), per)
         ]
+
+    # ------------------------------------------------------------------
+    # fault simulation
 
     def fault_simulate_cycles(
         self,
@@ -920,28 +868,21 @@ class CompiledNetlist:
         pi_sequence: Sequence[Mapping[str, int]] | None,
         width: int = 64,
         initial_state: Mapping[str, int] | None = None,
-        drop_detected: bool = False,
         pi_words=None,
     ) -> dict[Fault, int | None]:
         """Array-native fault-batched PPSFP; bit-identical to the
         interpreter's :func:`repro.gatelevel.fault_sim.fault_simulate_cycles`.
 
-        The kernel always retires a fault at its first detection, which
-        is exactly what ``drop_detected`` asks for and also what the
-        non-dropping interpreter computes per fault (it breaks at first
-        detection) -- so the flag changes nothing here and is accepted
-        for signature parity.
-
-        ``pi_words`` optionally supplies the patterns pre-packed as a
-        ``(cycles, inputs, n_words)`` array (see
-        :meth:`pack_pi_sequence`); shard workers pass a zero-copy
-        shared-memory view here, skipping per-worker re-packing.
+        Every fault retires at its first detecting cycle.  ``pi_words``
+        optionally supplies the patterns pre-packed as a ``(cycles,
+        inputs, n_words)`` array (see :meth:`pack_pi_sequence`); shard
+        workers pass a zero-copy shared-memory view here, skipping
+        per-worker re-packing.
         """
         mask = self._mask_words(width)
         nw = _n_words(width)
         known = [f for f in faults if f.net in self.index]
-        detected: dict[Fault, int | None] = {f: None for f in faults}
-        self._pattern_cycles = 0  # bookkeeping for patterns/sec metrics
+        detected: dict[Fault, int | None] = dict.fromkeys(faults)
         if pi_words is not None:
             pw_seq = list(pi_words)
         else:
@@ -949,40 +890,36 @@ class CompiledNetlist:
                       for piv in (pi_sequence or ())]
         if not known or not pw_seq:
             return detected
-        init = self._state_matrix(initial_state, width)
-        # Sorting by site keeps each batch's union-of-cones tight.
-        by_site = sorted(
-            known, key=lambda f: (self.index[f.net], f.stuck_at)
-        )
-        # As many faults per batch as fit the scratch budget; one
-        # buffer serves every batch, a narrower one as a leading view.
-        per = max(FAULT_BATCH, BATCH_SCRATCH_WORDS // (self.n_gates * nw))
-        widest = min(per, len(by_site)) * nw
-        scratch = _np.zeros(self.n_gates * widest, dtype=_np.uint64)
-        mask_b = _np.tile(mask, widest // nw)
-        batches = [
-            self._make_batch(by_site[i:i + per], width, init, mask)
-            for i in range(0, len(by_site), per)
-        ]
-        good_state = init
+        good_state = self._state_matrix(initial_state, width)
+        batches, scratch, mask_b = self._batches(
+            known, *self._stuck(known, mask), good_state, FF_SCAN, mask)
+        per = batches[0].size  # repacks refill to the initial width
+        sp = self.scan_pos
         for cycle, pw in enumerate(pw_seq):
             VG, good_state = self.good_cycle(pw, good_state, width)
             for batch in batches:
-                cols = batch.size * nw
-                self._batch_cycle(
-                    batch,
-                    scratch[:self.n_gates * cols].reshape(self.n_gates,
-                                                          cols),
-                    mask_b[:cols], VG, good_state, nw, width, cycle,
-                    detected,
-                )
+                hit = self._batch_step(
+                    batch, scratch, mask_b, VG, good_state,
+                ).any(axis=1) & batch.alive
+                for blk in _np.flatnonzero(hit).tolist():
+                    detected[batch.faults[blk]] = cycle
+                batch.alive &= ~hit
+                # Scan reload: scanned state follows the good machine.
+                # A scan FF carrying the fault itself needs no
+                # exception: a site is forced again right after state
+                # loads, so its stored state is unread.  A detected
+                # block still evaluates until the batch is repacked or
+                # dies, but nothing reads its columns again.
+                if len(sp):
+                    batch.state.reshape(-1, batch.size, nw)[sp] = \
+                        good_state[sp, None, :]
             batches = [b for b in batches if b.alive.any()]
             if not batches:
                 break
             live = sum(int(_np.count_nonzero(b.alive)) for b in batches)
             if (cycle + 1 < len(pw_seq) and live
                     <= REPACK_LIVE_SHARE * sum(b.size for b in batches)):
-                batches = self._repack(batches, per, width, mask)
+                batches = self._repack(batches, per)
         return detected
 
 
@@ -1110,36 +1047,26 @@ def transition_pair_detect(
     ``fault_sites`` is a list of ``(net, rising)`` tuples; the return
     maps each to the packed mask of detecting patterns.  The good
     machine runs once per pair (the interpreter re-ran it per fault);
-    each faulty machine is a cone-restricted launch-cycle replay.
+    the faults whose slow transition launches in some pattern run as
+    one-cycle fault batches of the launch cycle, each site forced to
+    its late value.
     """
     k = compiled(netlist)
     v1, v2 = pair
     mask = k._mask_words(width)
-    pw1 = k._pi_matrix(v1, width)
-    pw2 = k._pi_matrix(v2, width)
-    state0 = k._state_matrix(initial_state, width)
-    VG1, gs1 = k.good_cycle(pw1, state0, width)
-    VG2, gs2 = k.good_cycle(pw2, gs1, width)
-    VS = VG2.copy()
-    out: dict[tuple[str, bool], int] = {}
-    for net, rising in fault_sites:
-        if net not in k.index:
-            out[(net, rising)] = 0
-            continue
-        site = k.index[net]
-        before = VG1[site]
-        after = VG2[site]
-        if rising:
-            slow = ~before & after & mask
-        else:
-            slow = before & ~after & mask
-        if not slow.any():
-            out[(net, rising)] = 0
-            continue
-        cone = k.cone(site)
-        faulty_value = (after & ~slow) | (before & slow)
-        k._faulty_cycle(VS, cone, faulty_value, mask)
-        diff = k.diff_words(VS, VG2, gs2, cone, faulty_value) & slow
-        k._restore(VS, VG2, cone)
-        out[(net, rising)] = k.int_from_words(diff)
+    VG1, gs1 = k.good_cycle(k._pi_matrix(v1, width),
+                            k._state_matrix(initial_state, width), width)
+    VG2, gs2 = k.good_cycle(k._pi_matrix(v2, width), gs1, width)
+    known = [f for f in fault_sites if f[0] in k.index]
+    sites = _np.array([k.index[net] for net, _r in known], dtype=_np.int64)
+    before, after = VG1[sites], VG2[sites]
+    rising = _np.array([r for _n, r in known], dtype=bool)[:, None]
+    slow = _np.where(rising, ~before & after, before & ~after) & mask
+    # The late (still-old) value wherever the slow transition launches.
+    late = after ^ slow
+    act = slow.any(axis=1)
+    diff = k._capture_masks(sites[act], late[act], VG2, gs2, gs1, mask)
+    out = dict.fromkeys(fault_sites, 0)
+    out.update(zip([f for f, a in zip(known, act.tolist()) if a],
+                   map(k.int_from_words, diff & slow[act])))
     return out

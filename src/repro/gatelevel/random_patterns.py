@@ -34,9 +34,8 @@ def random_pattern_coverage(
 
     Patterns are packed 64 wide; with ``sequence_length > 1`` each
     packed pattern set runs for that many cycles (responses can
-    propagate through unscanned state).  Fault dropping is on inside
-    each block too (``drop_detected``), so a fault detected by cycle
-    *c* never simulates cycles past *c*; ``backend`` selects the
+    propagate through unscanned state).  A fault detected by cycle *c*
+    of a block never simulates cycles past *c*; ``backend`` selects the
     compiled kernel (default) or the reference interpreter.  With
     ``collapse`` (default on) equivalence classes are collapsed once
     up front and only representatives simulated -- a detected
@@ -67,8 +66,8 @@ def random_pattern_coverage(
             for _ in range(sequence_length)
         ]
         results = fault_simulate(
-            netlist, remaining, seq, width=width, drop_detected=True,
-            backend=backend, collapse=False,
+            netlist, remaining, seq, width=width, backend=backend,
+            collapse=False,
         )
         detected.update(f for f, d in results.items() if d)
         # results preserves fault order, so the survivors fall straight

@@ -33,8 +33,7 @@ def plan(netlist: Netlist, faults: Sequence[Fault], shards: int,
     *n*-th fault from the *i*-th.  A fault's cost follows the part of
     the design its cone covers, so dealing gives every shard an even
     share of each part, where contiguous chunks of the caller's list
-    can differ in cost.  Faults on unknown nets sort first; without
-    the kernel (no numpy) only the stuck values order the deal.  Every
+    can differ in cost.  Faults on unknown nets sort first.  Every
     engine merges by fault, so any partition is exact.
     """
     if shards < 2 or len(faults) < 2 * minimum:
@@ -42,7 +41,7 @@ def plan(netlist: Netlist, faults: Sequence[Fault], shards: int,
     from repro.gatelevel import kernel
 
     n = min(shards, len(faults) // minimum)
-    index = kernel.compiled(netlist).index if kernel.have_kernel() else {}
+    index = kernel.compiled(netlist).index
     ranked = sorted(faults, key=lambda f: (index.get(f.net, -1), f.stuck_at))
     return [ranked[i::n] for i in range(n)]
 
@@ -112,20 +111,17 @@ def _publish_faults(plane, netlist: Netlist,
                     chunks: Sequence[Sequence[Fault]]) -> list:
     """One fault block per chunk.
 
-    With the kernel, all chunks' faults become one ``(n, 2)`` int64
-    array of (topo row, stuck value), published once, and a block is
-    ``(ref, start, end, extras)``.  The topo index is content-determined,
-    so a worker decoding against its own (or a hash-cached) copy of the
-    netlist rebuilds exactly the caller's faults.  Faults on unknown
-    nets (legal: they read as undetectable) have no row and come back
-    positionally from ``extras``.  Without the kernel (no numpy) each
-    chunk is published as an object.
+    All chunks' faults become one ``(n, 2)`` int64 array of (topo row,
+    stuck value), published once, and a block is ``(ref, start, end,
+    extras)``.  The topo index is content-determined, so a worker
+    decoding against its own (or a hash-cached) copy of the netlist
+    rebuilds exactly the caller's faults.  Faults on unknown nets
+    (legal: they read as undetectable) have no row and come back
+    positionally from ``extras``.
     """
-    from repro.gatelevel import kernel
-
-    if not kernel.have_kernel():
-        return [plane.publish_object(list(chunk)) for chunk in chunks]
     import numpy as np
+
+    from repro.gatelevel import kernel
 
     index = kernel.compiled(netlist).index
     faults = [f for chunk in chunks for f in chunk]
@@ -149,8 +145,6 @@ def _decode_faults(netlist: Netlist, block) -> list[Fault]:
     """Inverse of :func:`_publish_faults` for one shard's block."""
     from repro.flow import shm
 
-    if not isinstance(block, tuple):
-        return shm.fetch(block)
     ref, start, end, extras = block
     names = netlist.topo_order()
     rows = shm.fetch(ref)[start:end].tolist()

@@ -6,13 +6,13 @@ them:
 
 * **SCOAP testability measures** -- 0/1-controllability (``CC0`` /
   ``CC1``) and observability (``CO``) per net, Goldstein's rules over
-  the levelized schedule.  On the numpy kernel the whole pass is a
-  handful of vectorized sweeps over the compiled ``(level, opcode)``
-  program groups; a pure-Python walk over the topo order produces the
-  identical numbers when numpy is absent.  Non-scan flip-flops are
-  handled by bounded fixpoint iteration (controllability flows forward
-  through the D pin at +1 per time frame, observability backward), so
-  feedback loops converge to the capped sentinel instead of diverging.
+  the levelized schedule.  The whole pass is a handful of vectorized
+  sweeps over the compiled ``(level, opcode)`` program groups; a
+  pure-Python walk over the topo order is the reference the tests hold
+  it to.  Non-scan flip-flops are handled by bounded fixpoint iteration
+  (controllability flows forward through the D pin at +1 per time
+  frame, observability backward), so feedback loops converge to the
+  capped sentinel instead of diverging.
 
 * **Structural fault collapsing** -- equivalence classes over the stem
   (gate-output-net) fault universe.  A fault on net ``a`` whose *only*
@@ -512,7 +512,7 @@ def structural_analysis(netlist: Netlist) -> Structure:
     in a warm worker -- or republished by the serve layer -- are
     analysed exactly once per process.
     """
-    from repro.gatelevel.kernel import have_kernel, netlist_hash
+    from repro.gatelevel.kernel import netlist_hash
 
     sig = (netlist.version, tuple(netlist.outputs))
     hit = _ANALYSES.get(netlist)
@@ -526,11 +526,7 @@ def structural_analysis(netlist: Netlist) -> Structure:
         _STATS["hash_hits"] += 1
         _ANALYSES[netlist] = (sig, cached)
         return cached
-    if have_kernel():
-        cc0, cc1, co = _scoap_numpy(netlist)
-    else:
-        cc0, cc1, co = _scoap_python(netlist)
-    struct = Structure(digest, cc0, cc1, co,
+    struct = Structure(digest, *_scoap_numpy(netlist),
                        _build_collapse_map(netlist))
     _STATS["built"] += 1
     _ANALYSES[netlist] = (sig, struct)
@@ -598,11 +594,8 @@ def resolve_structure(digest: str, payload, netlist: Netlist) -> Structure:
     """Worker-side :class:`Structure` for ``digest``, decoding at most
     once per process.
 
-    ``payload`` supplies the packed SCOAP rows on a cache miss: an
-    ``(n, 3)`` array, or ``None`` to recompute locally (without numpy
-    the parent has no packed rows to ship -- the analysis is
-    deterministic, so the recompute is byte-identical to the parent's
-    copy).
+    ``payload`` supplies the packed SCOAP rows (an ``(n, 3)`` array,
+    see :func:`pack_scoap`) on a cache miss.
     """
     cached = _STRUCT_BY_HASH.get(digest)
     if cached is not None:
@@ -610,8 +603,6 @@ def resolve_structure(digest: str, payload, netlist: Netlist) -> Structure:
         _STATS["resolve_hits"] += 1
         return cached
     _STATS["resolve_misses"] += 1
-    if payload is None:
-        return structural_analysis(netlist)
     order = netlist.topo_order()
     cc0 = {n: int(payload[i, 0]) for i, n in enumerate(order)}
     cc1 = {n: int(payload[i, 1]) for i, n in enumerate(order)}

@@ -223,11 +223,10 @@ def _parallel_podem(
     once in a fresh pool, then its chunk is searched in-process -- same
     results, fallback recorded in flow metrics.
     """
-    from repro.gatelevel import kernel
     from repro.gatelevel.shard import shard_map
 
     scoap = None
-    if guidance and kernel.have_kernel():
+    if guidance:
         from repro.gatelevel.structure import pack_scoap, structural_analysis
 
         scoap = pack_scoap(structural_analysis(netlist), netlist)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from repro.gatelevel.fault_sim import _observable_difference, resolve_backend
 from repro.gatelevel.gates import COMBINATIONAL_KINDS, Netlist
 from repro.gatelevel.simulate import parallel_simulate
 
@@ -49,15 +50,6 @@ def all_transition_faults(netlist: Netlist) -> list[TransitionFault]:
             out.append(TransitionFault(g.name, True))
             out.append(TransitionFault(g.name, False))
     return sorted(out)
-
-
-def _observable(netlist: Netlist, a_vals, a_state, b_vals, b_state) -> int:
-    diff = 0
-    for po in netlist.outputs:
-        diff |= a_vals[po] ^ b_vals[po]
-    for g in netlist.scan_dffs():
-        diff |= a_state[g.name] ^ b_state[g.name]
-    return diff
 
 
 def transition_fault_detected(
@@ -93,11 +85,9 @@ def transition_pair_masks(
     """Detection masks for many faults under one vector pair.
 
     The good machine runs once per pair; on the compiled-kernel backend
-    each faulty machine is a cone-restricted launch-cycle replay (the
+    the faulty machines run as fault batches of the launch cycle (the
     interpreter re-evaluates the full netlist per fault).
     """
-    from repro.gatelevel.fault_sim import resolve_backend
-
     if resolve_backend(backend) == "kernel":
         from repro.gatelevel.kernel import transition_pair_detect
 
@@ -147,7 +137,9 @@ def _transition_pair_masks_interp(
             netlist, v2, gs1, width, order,
             forced={fault.net: faulty_value},
         )
-        out[fault] = _observable(netlist, g2, gs2, f2, fs2) & slow_bits
+        out[fault] = _observable_difference(
+            netlist, g2, gs2, f2, fs2
+        ) & slow_bits
     return out
 
 

@@ -26,21 +26,7 @@ import sys
 
 from repro.cdfg import suite
 from repro.flow import Flow, FlowCache, Runner
-
-
-def _conventional(cdfg, slack):
-    from repro.cdfg.analysis import critical_path_length
-    from repro import hls
-
-    latency = max(
-        critical_path_length(cdfg),
-        int(slack * critical_path_length(cdfg)),
-    )
-    alloc = hls.allocate_for_latency(cdfg, latency)
-    sched = hls.list_schedule(cdfg, alloc)
-    fub = hls.bind_functional_units(cdfg, sched, alloc)
-    regs = hls.assign_registers_left_edge(cdfg, sched)
-    return hls.build_datapath(cdfg, sched, fub, regs), alloc, latency
+from repro.flow.flows import conventional_datapath
 
 
 def _design(name, width):
@@ -64,7 +50,7 @@ def section_behavior(name: str, slack: float, width: int) -> str:
         f"critical path: {critical_path_length(cdfg)} steps; "
         f"CDFG loops: {len(loops)}\n",
     ]
-    dp, _alloc, latency = _conventional(cdfg, slack)
+    dp, *_, latency = conventional_datapath(cdfg, slack)
     g = sgraph.build_sgraph(dp)
     cost = sgraph.estimate_cost(g)
     text.append(
@@ -79,7 +65,7 @@ def section_behavior(name: str, slack: float, width: int) -> str:
 def section_gate_scan(name: str, slack: float, width: int) -> str:
     from repro import scan
 
-    dp, *_ = _conventional(_design(name, width), slack)
+    dp, *_ = conventional_datapath(_design(name, width), slack)
     rep = scan.gate_level_partial_scan(dp)
     return (
         f"gate-level MFVS:      {rep.scan_registers} scan regs "
@@ -95,7 +81,7 @@ def section_loop_aware(name: str, slack: float, width: int) -> str:
     loops = cdfg_loops(cdfg, bound=500)
     if not loops:
         return "loop-aware [33]:      0 scan regs (behavior is loop-free)\n"
-    _dp, alloc, latency = _conventional(cdfg, slack)
+    *_, alloc, latency = conventional_datapath(cdfg, slack)
     dp2, _plan = scan.loop_aware_synthesis(cdfg, alloc, num_steps=latency)
     bits = sum(r.width for r in dp2.scan_registers())
     return (
@@ -107,7 +93,7 @@ def section_loop_aware(name: str, slack: float, width: int) -> str:
 def section_rtl_mixed(name: str, slack: float, width: int) -> str:
     from repro import scan
 
-    dp, *_ = _conventional(_design(name, width), slack)
+    dp, *_ = conventional_datapath(_design(name, width), slack)
     mixed = scan.rtl_partial_scan(dp)
     return (
         f"RTL mixed scan [35]:  {len(mixed.scanned_registers)} regs + "
@@ -119,7 +105,7 @@ def section_rtl_mixed(name: str, slack: float, width: int) -> str:
 def section_test_points(name: str, slack: float, width: int) -> str:
     from repro import rtl
 
-    dp, *_ = _conventional(_design(name, width), slack)
+    dp, *_ = conventional_datapath(_design(name, width), slack)
     lines = []
     for k in (0, 1):
         tps = rtl.insert_k_level_test_points(dp, k=k)
@@ -131,7 +117,7 @@ def section_bist(name: str, slack: float, width: int) -> str:
     from repro import bist
     from repro.bist.sessions import path_based_sessions
 
-    dp, _alloc, _lat = _conventional(_design(name, width), slack)
+    dp, *_ = conventional_datapath(_design(name, width), slack)
     cfg, envs = bist.assign_test_roles(dp)
     sessions = bist.schedule_sessions(envs)
     paths = path_based_sessions(dp)
@@ -188,14 +174,14 @@ def build_report_flow(design: str, slack: float = 1.5,
 def export_verilog(name: str, slack: float, width: int) -> str:
     from repro.gatelevel import datapath_to_verilog
 
-    dp, _alloc, _lat = _conventional(_design(name, width), slack)
+    dp, *_ = conventional_datapath(_design(name, width), slack)
     return datapath_to_verilog(dp)
 
 
 def export_dot(name: str, slack: float, width: int) -> str:
     from repro.cdfg.dot import datapath_to_dot
 
-    dp, _alloc, _lat = _conventional(_design(name, width), slack)
+    dp, *_ = conventional_datapath(_design(name, width), slack)
     return datapath_to_dot(dp)
 
 
@@ -275,7 +261,7 @@ def export_test_vectors(
     )
 
     cdfg = _design(name, width)
-    dp, _alloc, _lat = _conventional(cdfg, slack)
+    dp, *_ = conventional_datapath(cdfg, slack)
     dp.mark_scan(*[r.name for r in dp.registers])
     nl, _ = expand_datapath(dp)
     ts = generate_tests(nl, atpg_backend=atpg_backend, predrop=predrop,

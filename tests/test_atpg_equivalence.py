@@ -25,7 +25,6 @@ from repro.gatelevel.atpg import combinational_atpg
 from repro.gatelevel.fault_sim import fault_simulate
 from repro.gatelevel.faults import Fault, all_faults
 from repro.gatelevel.gates import Netlist
-from repro.gatelevel.kernel import have_kernel
 from repro.gatelevel.seq_atpg import sequential_atpg
 from repro.gatelevel.test_generation import TestSet, generate_tests
 from repro.knobs import KnobError, resolve
@@ -147,12 +146,11 @@ class TestShardedGeneration:
                 fullscan_nl, faults=faults, backend="interp",
                 atpg_backend="reference", predrop=predrop,
             )
-            if have_kernel():
-                acc = generate_tests(
-                    fullscan_nl, faults=faults, backend="kernel",
-                    atpg_backend="event", predrop=predrop,
-                )
-                assert _same_testset(ref, acc), predrop
+            acc = generate_tests(
+                fullscan_nl, faults=faults, backend="kernel",
+                atpg_backend="event", predrop=predrop,
+            )
+            assert _same_testset(ref, acc), predrop
 
     def test_shard_resolution(self, fullscan_nl, monkeypatch):
         import repro.gatelevel.test_generation as tg

@@ -25,14 +25,10 @@ from repro.gatelevel.bist_session import (
     session_configuration,
 )
 from repro.gatelevel.faults import all_faults
-from repro.gatelevel.kernel import compiled, have_kernel
+from repro.gatelevel.kernel import compiled
 from repro.gatelevel.simulate import parallel_simulate
 from tests.conftest import synthesize
 from tests.test_kernel_equivalence import netlists
-
-pytestmark = pytest.mark.skipif(
-    not have_kernel(), reason="kernel backend needs numpy"
-)
 
 
 def _bist(design: str, width: int = 4):

@@ -21,14 +21,10 @@ from repro.gatelevel.bist_session import (
     run_signatures,
     session_configuration,
 )
-from repro.gatelevel.kernel import compiled, have_kernel
+from repro.gatelevel.kernel import compiled
 from repro.gatelevel.simulate import parallel_simulate
 from tests.conftest import synthesize
 from tests.test_kernel_equivalence import netlists
-
-pytestmark = pytest.mark.skipif(
-    not have_kernel(), reason="kernel backend needs numpy"
-)
 
 BACKENDS = ["kernel", "interp"]
 

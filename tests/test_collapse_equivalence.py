@@ -30,7 +30,6 @@ from repro.gatelevel.genscale import (
     random_patterns,
     sample_faults,
 )
-from repro.gatelevel.kernel import have_kernel
 from repro.gatelevel.structure import (
     _scoap_python,
     collapse_map,
@@ -151,7 +150,6 @@ def test_collapsed_fault_sim_identity_interpreter(nl, width, n_cycles,
     assert list(full) == list(got)
 
 
-@pytest.mark.skipif(not have_kernel(), reason="kernel backend needs numpy")
 @settings(max_examples=40, deadline=None)
 @given(nl=netlists(), width=st.sampled_from([1, 64]),
        n_cycles=st.integers(1, 3), data=st.data())
@@ -168,7 +166,6 @@ def test_collapsed_fault_sim_identity_kernel(nl, width, n_cycles, data):
     assert list(full) == list(got)
 
 
-@pytest.mark.skipif(not have_kernel(), reason="kernel backend needs numpy")
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_collapsed_sharded_identity(shards):
     """Collapse happens once in the parent; every shard count and both
@@ -250,7 +247,6 @@ def test_scoap_sequential_fixpoint():
     assert cc0["q"] == INF and cc1["q"] == INF
 
 
-@pytest.mark.skipif(not have_kernel(), reason="kernel backend needs numpy")
 @settings(max_examples=40, deadline=None)
 @given(nl=netlists())
 def test_scoap_numpy_matches_python(nl):
@@ -313,7 +309,6 @@ def test_guided_podem_same_classification(nl, data):
         assert ev.backtracks == ref.backtracks
 
 
-@pytest.mark.skipif(not have_kernel(), reason="kernel backend needs numpy")
 def test_guided_generation_same_testset_classification():
     """Abort-free ``generate_tests``: guided and unguided runs (and
     collapsed and uncollapsed runs) classify every fault identically."""
@@ -329,7 +324,6 @@ def test_guided_generation_same_testset_classification():
         assert ts.total_faults == base.total_faults
 
 
-@pytest.mark.skipif(not have_kernel(), reason="kernel backend needs numpy")
 def test_guidance_reduces_backtracks():
     nl = generate_netlist(500, seed=1, buf_ratio=0.55)
     counts = {}

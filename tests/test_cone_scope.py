@@ -1,14 +1,15 @@
 """Fault-cone scope: closures stop where a fault effect cannot pass.
 
-A single capture cycle (:meth:`CompiledNetlist.cone`, used by
-``detect_masks`` and transition-pair detection) cannot move a fault
-effect through any flip-flop, so its closure stops at every one: a
-reached flip-flop is an observation sink, not a source.  Multi-cycle
-fault batches (``_make_batch``) reload scan flip-flops from the good
-machine every cycle, so they stop at scan flip-flops other than the
-batch's own sites but still cross non-scan ones.  The row sets are
-checked against an independent BFS over :meth:`Netlist.consumers`, and
-multi-cycle results against the interpreter on designs whose fault
+Every fault batch (``_make_batch``) compiles the union of its sites'
+closures, :meth:`CompiledNetlist.cone`.  A single capture cycle
+(``detect_masks`` and transition-pair detection) cannot move a fault
+effect through any flip-flop, so its closure stops at every one
+(``FF_ANY``): a reached flip-flop is an observation sink, not a source.
+Multi-cycle fault batches reload scan flip-flops from the good machine
+every cycle, so they stop at scan flip-flops other than the batch's
+own sites (``FF_SCAN``) but still cross non-scan ones.  The row sets
+are checked against an independent BFS over :meth:`Netlist.consumers`,
+and multi-cycle results against the interpreter on designs whose fault
 effects must cross non-scan flip-flops to be seen.
 
 The PODEM search context is cached per netlist; mutating the netlist
@@ -28,11 +29,7 @@ from repro.gatelevel.atpg import _context, combinational_atpg
 from repro.gatelevel.fault_sim import _fault_simulate_cycles_interp
 from repro.gatelevel.faults import Fault, all_faults
 from repro.gatelevel.gates import Netlist
-from repro.gatelevel.kernel import OP_BUF, compiled, have_kernel
-
-pytestmark = pytest.mark.skipif(
-    not have_kernel(), reason="kernel backend needs numpy"
-)
+from repro.gatelevel.kernel import FF_ANY, FF_SCAN, OP_BUF, compiled
 
 
 def _bfs(nl: Netlist, roots, stop) -> set[str]:
@@ -77,21 +74,45 @@ def dmachine(request):
                           scan=request.param)
 
 
+def _batch_rows(batch) -> list[int]:
+    return [int(r) for instrs, _fix in batch.levels
+            for _op, dst, *_ in instrs for r in dst]
+
+
 def test_cone_rows_match_bfs_stopping_at_every_flip_flop(dmachine):
     k = compiled(dmachine)
+    mask = k._mask_words(64)
+    init = k._state_matrix(None, 64)
     cut = 0
     for g in dmachine:
         site = k.index[g.name]
         want = _bfs(dmachine, [g.name], _any_dff)
-        cone = k.cone(site)
-        got = {int(r) for _op, dst, *_ in cone.program for r in dst}
-        assert got == _comb_rows(k, want) - {site}, g.name
-        assert set(cone.touched.tolist()) == got
+        assert k.cone([site], FF_ANY) == {k.index[n] for n in want}
+        # A one-cycle batch evaluates the site's own gate too (and
+        # re-forces it when its level completes).
+        fault = [Fault(g.name, 1)]
+        batch = k._make_batch(fault, *k._stuck(fault, mask), init, FF_ANY)
+        got = _batch_rows(batch)
+        assert len(got) == len(set(got))
+        assert set(got) == _comb_rows(k, want), g.name
         obs_out, obs_scan = _expected_obs(k, want)
-        assert cone.obs_out.tolist() == obs_out, g.name
-        assert cone.obs_scan.tolist() == obs_scan, g.name
+        assert batch.obs_out.tolist() == obs_out, g.name
+        assert batch.obs_scan.tolist() == obs_scan, g.name
         cut += len(_bfs(dmachine, [g.name], lambda _g: False)) > len(want)
     assert cut  # the stop rule is not vacuous on this design
+
+
+def test_cone_of_several_sites_is_the_union_of_each_cone(dmachine):
+    k = compiled(dmachine)
+    names = [g.name for g in dmachine]
+    rng = random.Random(3)
+    for _ in range(10):
+        picked = rng.sample(names, 6)
+        sites = [k.index[n] for n in picked]
+        for stop, rule in ((FF_ANY, _any_dff), (FF_SCAN, _scan_dff)):
+            union = set().union(*(k.cone([s], stop) for s in sites))
+            want = {k.index[n] for n in _bfs(dmachine, picked, rule)}
+            assert k.cone(sites, stop) == union == want
 
 
 def test_batch_rows_match_bfs_stopping_at_scan_flip_flops(dmachine):
@@ -104,10 +125,9 @@ def test_batch_rows_match_bfs_stopping_at_scan_flip_flops(dmachine):
     blocks = [faults[i:i + 32] for i in range(0, len(faults), 32)]
     blocks += [rng.sample(faults, 7) for _ in range(10)]
     for block in blocks:
-        batch = k._make_batch(block, 64, init, mask)
+        batch = k._make_batch(block, *k._stuck(block, mask), init, FF_SCAN)
         want = _bfs(dmachine, [f.net for f in block], _scan_dff)
-        got = [int(r) for instrs, _fix in batch.levels
-               for _op, dst, *_ in instrs for r in dst]
+        got = _batch_rows(batch)
         assert len(got) == len(set(got))
         assert set(got) == _comb_rows(k, want)
         obs_out, obs_scan = _expected_obs(k, want)

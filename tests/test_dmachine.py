@@ -11,12 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gatelevel.kernel import have_kernel
-
-pytestmark = pytest.mark.skipif(
-    not have_kernel(), reason="d_machine flows run on the kernel"
-)
-
 
 # -- hierarchical width-packing ---------------------------------------------
 
@@ -36,8 +30,7 @@ def _per_test_detected(composite, steps, tests, faults) -> int:
             for i in range(HIER_WIDTH):
                 piv[f"pi_{name}_b{i}"] = (val >> i) & 1
         seq = [dict(piv, reset=1)] + [piv] * (steps + 1)
-        results = fault_simulate(composite, remaining, seq, width=1,
-                                 drop_detected=True)
+        results = fault_simulate(composite, remaining, seq, width=1)
         detected += sum(1 for hit in results.values() if hit)
         remaining = [f for f, hit in results.items() if not hit]
     return detected

@@ -22,11 +22,7 @@ from repro.flow import shm
 from repro.gatelevel import fault_sim, genscale, kernel
 from repro.gatelevel.fault_sim import _fault_simulate_cycles_interp
 from repro.gatelevel.faults import Fault, all_faults
-from repro.gatelevel.kernel import CompiledNetlist, compiled, have_kernel
-
-pytestmark = pytest.mark.skipif(
-    not have_kernel(), reason="kernel backend needs numpy"
-)
+from repro.gatelevel.kernel import CompiledNetlist, compiled
 
 
 class _BuildLog:
@@ -104,9 +100,6 @@ def test_batches_and_repacks_match_interpreter(design, width,
     assert len(first) >= 3 and first[-1] < first[0]  # a short tail
     assert len(log.rounds) >= 2, "no repack"
     assert log.carried, "no faulty state crossed a repack"
-    assert k._pattern_cycles == sum(
-        width * (cycles if c is None else c + 1) for c in got.values()
-    )
 
 
 @pytest.mark.parametrize("transport", ["shm", "pickle"])

@@ -306,34 +306,6 @@ class TestFailurePolicy:
         assert "timeout" in result.metrics.metric("slow").error
 
 
-# -- fault dropping (used by the flow fault-sim stages) --------------------
-
-class TestFaultDropping:
-    def test_drop_detected_matches_legacy(self):
-        import random
-
-        from repro.cdfg import suite
-        from repro.gatelevel.expand import expand_datapath
-        from repro.gatelevel.fault_sim import fault_simulate_cycles
-        from repro.gatelevel.faults import all_faults
-        from tests.conftest import synthesize
-
-        dp, *_ = synthesize(suite.figure1(width=3))
-        dp.mark_scan(*[r.name for r in dp.registers])
-        nl, _ = expand_datapath(dp)
-        faults = all_faults(nl)[:60]
-        rng = random.Random(0)
-        seq = [
-            {pi: rng.getrandbits(8) for pi in nl.inputs()}
-            for _ in range(5)
-        ]
-        legacy = fault_simulate_cycles(nl, faults, seq, width=8)
-        dropped = fault_simulate_cycles(
-            nl, faults, seq, width=8, drop_detected=True
-        )
-        assert dropped == legacy
-
-
 # -- table helpers ---------------------------------------------------------
 
 class TestTableHelpers:

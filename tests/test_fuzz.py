@@ -36,11 +36,6 @@ from repro.fuzz.oracles import (
     compare_classifications,
     compare_legs,
 )
-from repro.gatelevel.kernel import have_kernel
-
-pytestmark = pytest.mark.skipif(
-    not have_kernel(), reason="fuzz oracles need the numpy kernel"
-)
 
 
 # -- picklable helpers for the LegRunner pool tests ------------------------

@@ -18,11 +18,6 @@ from repro.gatelevel.genscale import (
     random_patterns,
     sample_faults,
 )
-from repro.gatelevel.kernel import have_kernel
-
-pytestmark = pytest.mark.skipif(
-    not have_kernel(), reason="kernel backend needs numpy"
-)
 
 
 def _both_backends(netlist, faults, seq, width):

@@ -22,16 +22,13 @@ from repro.gatelevel.fault_sim import (
 )
 from repro.gatelevel.faults import Fault, all_faults
 from repro.gatelevel.gates import Netlist
-from repro.gatelevel.kernel import compiled, have_kernel
+from repro.gatelevel.kernel import compiled
 from repro.gatelevel.simulate import parallel_simulate
+from repro.gatelevel.test_generation import _detect_masks
 from repro.gatelevel.transition_faults import (
     _transition_pair_masks_interp,
     all_transition_faults,
     transition_pair_masks,
-)
-
-pytestmark = pytest.mark.skipif(
-    not have_kernel(), reason="kernel backend needs numpy"
 )
 
 _KINDS = ["and", "or", "nand", "nor", "xor", "xnor", "buf", "not", "mux"]
@@ -114,19 +111,15 @@ def test_good_machine_matches_interpreter(nl, width, data):
 
 @settings(max_examples=30, deadline=None)
 @given(nl=netlists(), width=st.sampled_from(_WIDTHS),
-       n_cycles=st.integers(1, 3), drop=st.booleans(), data=st.data())
-def test_fault_sim_matches_interpreter(nl, width, n_cycles, drop, data):
+       n_cycles=st.integers(1, 3), data=st.data())
+def test_fault_sim_matches_interpreter(nl, width, n_cycles, data):
     """First-detection cycles agree for the whole collapsed fault list
-    (scan-FF output faults included) across scan-reload sequences,
-    with and without fault dropping."""
+    (scan-FF output faults included) across scan-reload sequences."""
     faults = all_faults(nl)
     seq = [_draw_vector(data, nl, width) for _ in range(n_cycles)]
-    ref = _fault_simulate_cycles_interp(
-        nl, faults, seq, width=width, drop_detected=drop
-    )
+    ref = _fault_simulate_cycles_interp(nl, faults, seq, width=width)
     got = fault_simulate_cycles(
-        nl, faults, seq, width=width, drop_detected=drop,
-        backend="kernel", shards=1,
+        nl, faults, seq, width=width, backend="kernel", shards=1,
     )
     assert ref == got
     assert list(ref) == list(got)  # same fault order, too
@@ -142,6 +135,23 @@ def test_transition_masks_match_interpreter(nl, width, data):
     got = transition_pair_masks(nl, pair, faults, width=width,
                                 backend="kernel")
     assert ref == got
+
+
+@settings(max_examples=25, deadline=None)
+@given(nl=netlists(), width=st.sampled_from(_WIDTHS), data=st.data())
+def test_detect_masks_match_interpreter(nl, width, data):
+    """One-capture-cycle stuck-at detection masks agree per fault, from
+    random inputs and a full flip-flop state: flip-flop sites, and a
+    fault on a net the netlist lacks, included."""
+    faults = all_faults(nl) + [Fault("no_such_net", 1)]
+    piv = _draw_vector(data, nl, width)
+    state = {
+        g.name: data.draw(st.integers(0, (1 << width) - 1))
+        for g in nl.dffs()
+    }
+    ref = _detect_masks(nl, faults, piv, state, width, backend="interp")
+    got = compiled(nl).detect_masks(faults, piv, state, width=width)
+    assert got == ref
 
 
 def _mesh_netlist(seed: int = 7, n_gates: int = 60) -> Netlist:
@@ -176,8 +186,7 @@ def _sequence(nl: Netlist, width: int, n_cycles: int, seed: int = 3):
 
 
 @pytest.mark.parametrize("backend", ["kernel", "interp"])
-@pytest.mark.parametrize("drop", [False, True])
-def test_sharded_run_is_byte_identical_to_serial(backend, drop):
+def test_sharded_run_is_byte_identical_to_serial(backend):
     """Fault-parallel sharding must not change a single result bit,
     nor the result ordering."""
     nl = _mesh_netlist()
@@ -185,12 +194,10 @@ def test_sharded_run_is_byte_identical_to_serial(backend, drop):
     assert len(faults) >= 32  # enough to engage the sharded path
     seq = _sequence(nl, width=8, n_cycles=3)
     serial = fault_simulate_cycles(
-        nl, faults, seq, width=8, drop_detected=drop,
-        backend=backend, shards=1,
+        nl, faults, seq, width=8, backend=backend, shards=1,
     )
     sharded = fault_simulate_cycles(
-        nl, faults, seq, width=8, drop_detected=drop,
-        backend=backend, shards=2,
+        nl, faults, seq, width=8, backend=backend, shards=2,
     )
     assert serial == sharded
     assert list(serial) == list(sharded)

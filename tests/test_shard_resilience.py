@@ -22,11 +22,6 @@ from repro.flow.metrics import collect
 from repro.flow.resilience import run_sharded
 from repro.gatelevel.fault_sim import fault_simulate_cycles
 from repro.gatelevel.faults import all_faults
-from repro.gatelevel.kernel import have_kernel
-
-pytestmark = pytest.mark.skipif(
-    not have_kernel(), reason="kernel backend needs numpy"
-)
 
 
 # -- harness unit tests (picklable module-level workers) -------------------
