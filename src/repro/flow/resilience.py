@@ -161,12 +161,13 @@ def set_shard_pool_provider(pools: PoolProvider | None) -> None:
     _SHARD_POOLS = pools
 
 
-def _default_shard_pools() -> PoolProvider | None:
+def _default_shard_pools() -> PoolProvider:
     # A forked worker inherits the module global, but the executor it
     # wraps belongs to the parent and is unusable here; nested shard
-    # dispatch inside a pool worker builds its own pools as before.
-    if multiprocessing.parent_process() is not None:
-        return None
+    # dispatch inside a pool worker, like any call with no provider
+    # installed, gets a plain provider (one fresh pool per call).
+    if _SHARD_POOLS is None or multiprocessing.parent_process() is not None:
+        return PoolProvider()
     return _SHARD_POOLS
 
 
@@ -191,7 +192,8 @@ def run_sharded(
     remaining shards.
 
     ``pools`` supplies the executors (default: the provider installed
-    via :func:`set_shard_pool_provider`, else a fresh pool per call).
+    via :func:`set_shard_pool_provider`, else a plain
+    :class:`PoolProvider`, one fresh pool per call).
     A warm provider's pool is released, never shut down, so workers --
     and their per-process compiled caches -- survive across calls.
 
@@ -230,13 +232,6 @@ def run_sharded(
     provider = pools if pools is not None else _default_shard_pools()
     pool: ProcessPoolExecutor | None = None
     pool_usable = True
-
-    def drop_pool(p: ProcessPoolExecutor) -> None:
-        if provider is not None:
-            provider.discard(p)
-        else:
-            kill_pool(p)
-
     try:
         while pending:
             # Shards out of pool budget run in-process, in order.
@@ -260,10 +255,7 @@ def run_sharded(
             if pool is None:
                 want = min(max_workers, len(pending))
                 try:
-                    if provider is not None:
-                        pool = provider.acquire(want)
-                    else:
-                        pool = ProcessPoolExecutor(max_workers=want)
+                    pool = provider.acquire(want)
                 except (OSError, PermissionError):
                     # No pools in this environment at all.
                     pool_usable = False
@@ -319,13 +311,10 @@ def run_sharded(
                         ))
                     broken = True
             if broken or (pool is not None and getattr(pool, "_broken", False)):
-                drop_pool(pool)
+                provider.discard(pool)
                 pool = None
                 info["pool_rebuilds"] += 1
     finally:
         if pool is not None:
-            if provider is not None:
-                provider.release(pool)
-            else:
-                pool.shutdown(wait=True, cancel_futures=True)
+            provider.release(pool)
     return results, info

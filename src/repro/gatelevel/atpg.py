@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Mapping, Sequence
-from weakref import WeakKeyDictionary
 
 from repro.gatelevel.faults import Fault
 from repro.gatelevel.gates import Netlist
@@ -174,9 +173,8 @@ def combinational_atpg(
     branches; classification (detected / untestable) is search-order
     independent, only the returned vector and effort counts may
     differ.  ``structure``
-    supplies a precomputed :class:`repro.gatelevel.structure.Structure`
-    (shard workers resolve it off the payload plane); when omitted the
-    cached per-netlist analysis is used.
+    supplies a precomputed :class:`repro.gatelevel.structure.Structure`;
+    when omitted the cached per-netlist analysis is used.
     """
     backend = resolve("REPRO_ATPG_BACKEND", backend)
     ctx = _context(netlist)
@@ -377,12 +375,11 @@ class _PodemContext:
     their control support and the all-X good machine (the good
     machine under the empty assignment every search starts from)."""
 
-    __slots__ = ("sig", "order", "topo_pos", "scan_pos", "consumers",
+    __slots__ = ("order", "topo_pos", "scan_pos", "consumers",
                  "observe", "observe_set", "control", "support",
                  "good_x")
 
-    def __init__(self, netlist: Netlist, sig: tuple) -> None:
-        self.sig = sig
+    def __init__(self, netlist: Netlist) -> None:
         order = netlist.topo_order()
         self.order = order
         self.topo_pos = {n: i for i, n in enumerate(order)}
@@ -397,20 +394,13 @@ class _PodemContext:
         self.good_x = _sim3_gates([netlist.gate(n) for n in order], {})
 
 
-#: netlist -> its :class:`_PodemContext`, held weakly like the kernel's
-#: compile cache and rebuilt when the netlist mutates.
-_CONTEXTS: "WeakKeyDictionary[Netlist, _PodemContext]" = WeakKeyDictionary()
-
-
 def _context(netlist: Netlist) -> _PodemContext:
-    """The cached search context of ``netlist``, keyed like
-    :func:`repro.gatelevel.kernel.compiled` by its mutation counter and
-    output list."""
-    sig = (netlist.version, tuple(netlist.outputs))
-    ctx = _CONTEXTS.get(netlist)
-    if ctx is None or ctx.sig != sig:
-        ctx = _PodemContext(netlist, sig)
-        _CONTEXTS[netlist] = ctx
+    """The search context of ``netlist``, kept in its
+    :meth:`~repro.gatelevel.gates.Netlist.derived` memo."""
+    memo = netlist.derived()
+    ctx = memo.get("podem_context")
+    if ctx is None:
+        ctx = memo["podem_context"] = _PodemContext(netlist)
     return ctx
 
 

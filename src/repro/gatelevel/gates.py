@@ -62,13 +62,8 @@ class Netlist:
         self.name = name
         self._gates: dict[str, Gate] = {}
         self.outputs: list[str] = []
-        self._version = 0
         self._pickles = 0
-        self._topo_cache: list[str] | None = None
-        self._levels_cache: dict[str, int] | None = None
-        self._consumers_cache: dict[str, list[str]] | None = None
-        self._inputs_cache: list[str] | None = None
-        self._scan_cache: list[Gate] | None = None
+        self._derived: tuple[list[str], dict] | None = None
 
     # ------------------------------------------------------------------
 
@@ -84,51 +79,47 @@ class Netlist:
         self.outputs.append(net)
 
     def invalidate(self) -> None:
-        """Drop derived caches (topo order, levels, compiled kernels).
+        """Drop all derived state (see :meth:`derived`).
 
         Called automatically by :meth:`add`; call it manually after
         mutating ``_gates`` or gate attributes in place.
         """
-        self._version += 1
-        self._topo_cache = None
-        self._levels_cache = None
-        self._consumers_cache = None
-        self._inputs_cache = None
-        self._scan_cache = None
+        self._derived = None
 
-    @property
-    def version(self) -> int:
-        """Monotone mutation counter (cache key for derived structures)."""
-        return self._version
+    def derived(self) -> dict:
+        """The memo for state derived from this netlist.
+
+        Topo order, levels, consumers, the input and scan lists, the
+        compiled kernel program, the structural analysis, the PODEM
+        context, time-frame unrollings and the content digest and
+        pickled body all live here, keyed by name.  The dict lasts until
+        the next :meth:`invalidate` or change to the output list (the
+        outputs are observation points but not part of the gate
+        graph).  Nothing in it may refer back to the netlist, so it
+        dies with the netlist.
+        """
+        memo = self._derived
+        if memo is None or memo[0] != self.outputs:
+            memo = self._derived = (list(self.outputs), {})
+        return memo[1]
 
     def __getstate__(self) -> dict:
-        # Derived caches are cheap to rebuild and would bloat pickles
-        # (flow-cache artifacts, process-pool shards); drop them.
+        # Derived state is cheap to rebuild and would bloat pickles
+        # (flow-cache artifacts, process-pool shards); drop it.
         # ``_pickles`` counts serialisations of this instance -- the
         # dispatch-cost regression tests assert a sharded run ships the
         # netlist at most once -- and copies start their own count.
         self._pickles += 1
         state = self.__dict__.copy()
         state["_pickles"] = 0
-        state["_topo_cache"] = None
-        state["_levels_cache"] = None
-        state["_consumers_cache"] = None
-        # Dropped outright rather than nulled, so a pickle carries the
-        # same keys -- and the same bytes -- as before these caches.
-        state.pop("_inputs_cache", None)
-        state.pop("_scan_cache", None)
+        del state["_derived"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # Pickles from before the cache fields existed.
-        self.__dict__.setdefault("_version", 0)
+        # Pickles from before the serialisation counter existed.
         self.__dict__.setdefault("_pickles", 0)
-        self.__dict__.setdefault("_topo_cache", None)
-        self.__dict__.setdefault("_levels_cache", None)
-        self.__dict__.setdefault("_consumers_cache", None)
-        self.__dict__.setdefault("_inputs_cache", None)
-        self.__dict__.setdefault("_scan_cache", None)
+        self._derived = None
 
     # ------------------------------------------------------------------
 
@@ -140,13 +131,14 @@ class Netlist:
         return self._gates[name]
 
     def inputs(self) -> list[str]:
-        """Primary input names in insertion order (cached per
-        :attr:`version`; the caller gets its own copy)."""
-        if self._inputs_cache is None:
-            self._inputs_cache = [
+        """Primary input names in insertion order (cached in
+        :meth:`derived`; the caller gets its own copy)."""
+        memo = self.derived()
+        if "inputs" not in memo:
+            memo["inputs"] = [
                 g.name for g in self._gates.values() if g.kind == "input"
             ]
-        return list(self._inputs_cache)
+        return list(memo["inputs"])
 
     def dffs(self) -> list[Gate]:
         return [g for g in self._gates.values() if g.kind == "dff"]
@@ -154,9 +146,10 @@ class Netlist:
     def scan_dffs(self) -> list[Gate]:
         """Scan flip-flops in insertion order (cached like
         :meth:`inputs`)."""
-        if self._scan_cache is None:
-            self._scan_cache = [g for g in self.dffs() if g.scan]
-        return list(self._scan_cache)
+        memo = self.derived()
+        if "scan_dffs" not in memo:
+            memo["scan_dffs"] = [g for g in self.dffs() if g.scan]
+        return list(memo["scan_dffs"])
 
     def num_gates(self) -> int:
         return sum(
@@ -175,14 +168,14 @@ class Netlist:
     def topo_order(self) -> list[str]:
         """Combinational evaluation order (DFF outputs are sources).
 
-        The result is cached on the netlist and invalidated by
-        :meth:`add` / :meth:`invalidate`; callers that loop over cycles
-        or faults no longer pay for repeated traversals.
+        The result is cached in :meth:`derived`; callers that loop over
+        cycles or faults no longer pay for repeated traversals.
 
         Raises :class:`NetlistError` on combinational cycles.
         """
-        if self._topo_cache is not None:
-            return self._topo_cache
+        memo = self.derived()
+        if "topo_order" in memo:
+            return memo["topo_order"]
         order: list[str] = []
         state = dict.fromkeys(self._gates, 0)  # 0 new, 1 visiting, 2 done
         stack: list[tuple[str, int]] = []
@@ -216,7 +209,7 @@ class Netlist:
                 else:
                     state[node] = 2
                     order.append(node)
-        self._topo_cache = order
+        memo["topo_order"] = order
         return order
 
     def levels(self) -> dict[str, int]:
@@ -226,8 +219,9 @@ class Netlist:
         This is the schedule the compiled kernel groups instructions
         by; cached alongside :meth:`topo_order`.
         """
-        if self._levels_cache is not None:
-            return self._levels_cache
+        memo = self.derived()
+        if "levels" in memo:
+            return memo["levels"]
         levels: dict[str, int] = {}
         for name in self.topo_order():
             gate = self._gates[name]
@@ -235,24 +229,25 @@ class Netlist:
                 levels[name] = 1 + max(levels[i] for i in gate.inputs)
             else:
                 levels[name] = 0
-        self._levels_cache = levels
+        memo["levels"] = levels
         return levels
 
     def consumers(self) -> dict[str, list[str]]:
         """Fanout map: net -> names of the gates reading it.
 
         Consumers appear in gate-insertion order (matching ``iter(self)``),
-        and a DFF "consumes" its D input.  Cached with the same
-        version-based invalidation as :meth:`topo_order`; ATPG used to
-        rebuild this map for every single fault.
+        and a DFF "consumes" its D input.  Cached like
+        :meth:`topo_order`; ATPG used to rebuild this map for every
+        single fault.
         """
-        if self._consumers_cache is not None:
-            return self._consumers_cache
+        memo = self.derived()
+        if "consumers" in memo:
+            return memo["consumers"]
         consumers: dict[str, list[str]] = {}
         for g in self._gates.values():
             for src in g.inputs:
                 consumers.setdefault(src, []).append(g.name)
-        self._consumers_cache = consumers
+        memo["consumers"] = consumers
         return consumers
 
     def validate(self, strict: bool = False) -> None:

@@ -55,7 +55,6 @@ import hashlib
 import pickle
 from collections import OrderedDict
 from typing import Mapping, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as _np
 
@@ -206,7 +205,6 @@ class CompiledNetlist:
         # the offending net, rather than as a numpy shape error three
         # layers down in the levelized program.
         netlist.validate()
-        self.netlist = netlist
         order = netlist.topo_order()
         levels = netlist.levels()
         self.names: list[str] = list(order)
@@ -529,10 +527,10 @@ class CompiledNetlist:
         checkpoints: Sequence[int],
         width: int = 1,
         forced: Mapping[str, int] | None = None,
-        initial_state: Mapping[str, int] | None = None,
     ) -> dict[int, dict[str, int]]:
-        """Free-run with constant inputs; snapshot DFF state at the
-        given cycle counts (cycle 1 = state after one clock edge)."""
+        """Free-run with constant inputs from the all-zero state;
+        snapshot DFF state at the given cycle counts (cycle 1 = state
+        after one clock edge)."""
         forced_rows = None
         if forced:
             forced_rows = {
@@ -540,7 +538,7 @@ class CompiledNetlist:
                 for name, v in forced.items() if name in self.index
             }
         pw = self._pi_matrix(pi_values, width)
-        state = self._state_matrix(initial_state, width)
+        state = self._state_matrix(None, width)
         marks = sorted(set(checkpoints))
         out: dict[int, dict[str, int]] = {}
         for cycle in range(1, marks[-1] + 1):
@@ -924,85 +922,73 @@ class CompiledNetlist:
 
 
 # ---------------------------------------------------------------------------
-# compile cache
-
-_COMPILED: "WeakKeyDictionary[Netlist, tuple]" = WeakKeyDictionary()
-
+# per-netlist memo entries
 
 def compiled(netlist: Netlist) -> CompiledNetlist:
-    """The cached compiled form of ``netlist``.
-
-    Keyed by the netlist's mutation counter plus its output list (the
-    outputs are observation points but not part of the gate graph), so
-    in-place growth or output changes trigger a recompile.
-    """
-    sig = (netlist.version, tuple(netlist.outputs))
-    hit = _COMPILED.get(netlist)
-    if hit is not None and hit[0] == sig:
-        return hit[1]
-    comp = CompiledNetlist(netlist)
-    _COMPILED[netlist] = (sig, comp)
+    """The compiled form of ``netlist``, kept in its
+    :meth:`~repro.gatelevel.gates.Netlist.derived` memo, so in-place
+    growth or output changes trigger a recompile."""
+    memo = netlist.derived()
+    comp = memo.get("compiled")
+    if comp is None:
+        comp = memo["compiled"] = CompiledNetlist(netlist)
     return comp
 
 
-# ---------------------------------------------------------------------------
-# content-hash netlist cache (warm-worker compiled-program reuse)
-
-#: per-instance (version, outputs) -> (digest, blob) memo, so repeated
-#: sharded dispatches of one netlist hash and pickle it exactly once.
-_CONTENT_MEMO: "WeakKeyDictionary[Netlist, tuple]" = WeakKeyDictionary()
-
 #: per-process content-hash -> Netlist registry.  Holding the netlist
-#: object alive keeps its :data:`_COMPILED` entry (a WeakKeyDictionary)
-#: alive too, so a warm worker that has seen a design serves every later
-#: shard/job from the cached :class:`CompiledNetlist` without ever
-#: re-running levelization -- and, under the shm transport, without even
+#: keeps its derived memo -- and with it the :class:`CompiledNetlist`
+#: -- alive, so a warm worker that has seen a design serves every later
+#: shard/job from the compiled program without ever re-running
+#: levelization -- and, under the shm transport, without even
 #: unpickling the body again.
 _BY_HASH: "OrderedDict[str, Netlist]" = OrderedDict()
 _HASH_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
-def netlist_blob(netlist: Netlist) -> tuple[str, bytes]:
-    """``(content digest, pickled body)`` for ``netlist``, memoised.
+def netlist_hash(netlist: Netlist) -> str:
+    """The content digest of ``netlist``, memoised in its derived memo.
 
     The digest follows the recipe-hash discipline of
     :mod:`repro.flow.cache`: a sha256 over a canonical rendering of the
     gate graph (name, kind, fanins, scan flag, in insertion order) plus
     the output list -- equal-content netlists hash equal across
-    processes, unlike ``id``- or pickle-byte-based keys.  The memo is
-    invalidated by the netlist's mutation counter and output list.
+    processes, unlike ``id``- or pickle-byte-based keys.
     """
-    sig = (netlist.version, tuple(netlist.outputs))
-    hit = _CONTENT_MEMO.get(netlist)
-    if hit is not None and hit[0] == sig:
-        return hit[1], hit[2]
-    h = hashlib.sha256()
-    h.update(netlist.name.encode())
-    for g in netlist:
-        h.update(
-            f"\n{g.name}|{g.kind}|{','.join(g.inputs)}|{int(g.scan)}"
-            .encode()
-        )
-    h.update(("\nouts:" + ",".join(netlist.outputs)).encode())
-    digest = h.hexdigest()
-    blob = pickle.dumps(netlist, protocol=pickle.HIGHEST_PROTOCOL)
-    _CONTENT_MEMO[netlist] = (sig, digest, blob)
-    return digest, blob
+    memo = netlist.derived()
+    digest = memo.get("digest")
+    if digest is None:
+        h = hashlib.sha256()
+        h.update(netlist.name.encode())
+        for g in netlist:
+            h.update(
+                f"\n{g.name}|{g.kind}|{','.join(g.inputs)}|{int(g.scan)}"
+                .encode()
+            )
+        h.update(("\nouts:" + ",".join(netlist.outputs)).encode())
+        digest = memo["digest"] = h.hexdigest()
+    return digest
 
 
-def netlist_hash(netlist: Netlist) -> str:
-    """The content digest alone (see :func:`netlist_blob`)."""
-    return netlist_blob(netlist)[0]
+def netlist_blob(netlist: Netlist) -> tuple[str, bytes]:
+    """``(content digest, pickled body)`` for ``netlist``, memoised
+    like :func:`netlist_hash`, so repeated sharded dispatches of one
+    netlist pickle it exactly once."""
+    memo = netlist.derived()
+    blob = memo.get("blob")
+    if blob is None:
+        blob = memo["blob"] = pickle.dumps(
+            netlist, protocol=pickle.HIGHEST_PROTOCOL)
+    return netlist_hash(netlist), blob
 
 
 def resolve_netlist(digest: str, payload) -> Netlist:
     """The process-local netlist for ``digest``, decoding at most once.
 
-    ``payload`` supplies the body on a cache miss: a :class:`Netlist`,
-    raw pickled ``bytes``, or a zero-argument callable returning either
-    (a shard worker's lazy :func:`repro.flow.shm.fetch`, so a warm
-    worker never reads the payload on a hit).  The registry is an LRU
-    bounded by :data:`repro.flow.shm.WORKER_CACHE_SIZE`.
+    ``payload`` supplies the body on a cache miss: a :class:`Netlist`
+    or a zero-argument callable returning one (a shard worker's lazy
+    :func:`repro.flow.shm.fetch`, so a warm worker never reads the
+    payload on a hit).  The registry is an LRU bounded by
+    :data:`repro.flow.shm.WORKER_CACHE_SIZE`.
     """
     hit = _BY_HASH.get(digest)
     if hit is not None:
@@ -1012,8 +998,6 @@ def resolve_netlist(digest: str, payload) -> Netlist:
     _HASH_STATS["misses"] += 1
     if callable(payload):
         payload = payload()
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        payload = pickle.loads(payload)
     if not isinstance(payload, Netlist):
         raise NetlistError(
             f"no cached netlist for {digest[:12]} and no body provided"

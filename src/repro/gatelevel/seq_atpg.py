@@ -16,7 +16,6 @@ depth" (survey section 3.1) -- calibrated in ``bench_atpg_cost``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 from repro.gatelevel.atpg import combinational_atpg
 from repro.gatelevel.faults import Fault
@@ -71,9 +70,6 @@ def unroll(netlist: Netlist, frames: int) -> tuple[Netlist, dict[int, dict[str, 
     return out, maps
 
 
-_UNROLL_CACHE: "WeakKeyDictionary[Netlist, dict]" = WeakKeyDictionary()
-
-
 def unroll_cached(
     netlist: Netlist, frames: int
 ) -> tuple[Netlist, dict[int, dict[str, str]]]:
@@ -81,16 +77,14 @@ def unroll_cached(
 
     Sequential ATPG re-unrolls the same netlist for every fault and
     every frame count; the unrolled good-machine structure (and its
-    cached topo order) is shared instead.  Keyed by the netlist's
-    mutation counter so in-place edits invalidate.
+    cached topo order) is shared instead.  Kept per frame count in the
+    netlist's :meth:`~repro.gatelevel.gates.Netlist.derived` memo, so
+    in-place edits and output changes invalidate.
     """
-    per_netlist = _UNROLL_CACHE.setdefault(netlist, {})
-    key = (netlist.version, frames)
-    hit = per_netlist.get(key)
+    per_frames = netlist.derived().setdefault("unroll", {})
+    hit = per_frames.get(frames)
     if hit is None:
-        if any(k[0] != netlist.version for k in per_netlist):
-            per_netlist.clear()
-        hit = per_netlist[key] = unroll(netlist, frames)
+        hit = per_frames[frames] = unroll(netlist, frames)
     return hit
 
 

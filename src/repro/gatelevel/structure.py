@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Iterable, Mapping, Sequence, TypeVar
-from weakref import WeakKeyDictionary
 
 from repro.gatelevel.faults import Fault, all_faults
 from repro.gatelevel.gates import Netlist
@@ -489,59 +488,51 @@ class Structure:
         return _cap(cc.get(fault.net, INF) + self.co.get(fault.net, INF))
 
 
-#: per-instance (version, outputs) -> Structure memo.
-_ANALYSES: "WeakKeyDictionary[Netlist, tuple]" = WeakKeyDictionary()
-
 #: per-process content-hash -> Structure LRU (warm-worker reuse; bounded
 #: by :data:`repro.flow.shm.WORKER_CACHE_SIZE`, as the kernel's netlist
 #: cache is).
 _STRUCT_BY_HASH: "OrderedDict[str, Structure]" = OrderedDict()
 
+#: ``resolve_hits`` is always 0 now that shard workers analyse the
+#: netlist they hold; perfbench still sums it into ``structure.cache_hits``.
 _STATS = {
     "built": 0, "instance_hits": 0, "hash_hits": 0,
-    "resolve_hits": 0, "resolve_misses": 0, "evictions": 0,
+    "resolve_hits": 0, "evictions": 0,
 }
 
 
 def structural_analysis(netlist: Netlist) -> Structure:
     """The cached :class:`Structure` for ``netlist``.
 
-    Memoised on the instance (version + output list, the
-    :func:`repro.gatelevel.kernel.compiled` discipline) and in a
+    Memoised in the netlist's
+    :meth:`~repro.gatelevel.gates.Netlist.derived` memo and in a
     process-wide content-hash LRU, so equal-content netlists arriving
     in a warm worker -- or republished by the serve layer -- are
     analysed exactly once per process.
     """
+    from repro.flow import shm
     from repro.gatelevel.kernel import netlist_hash
 
-    sig = (netlist.version, tuple(netlist.outputs))
-    hit = _ANALYSES.get(netlist)
-    if hit is not None and hit[0] == sig:
+    memo = netlist.derived()
+    struct = memo.get("structure")
+    if struct is not None:
         _STATS["instance_hits"] += 1
-        return hit[1]
+        return struct
     digest = netlist_hash(netlist)
-    cached = _STRUCT_BY_HASH.get(digest)
-    if cached is not None:
+    struct = _STRUCT_BY_HASH.get(digest)
+    if struct is not None:
         _STRUCT_BY_HASH.move_to_end(digest)
         _STATS["hash_hits"] += 1
-        _ANALYSES[netlist] = (sig, cached)
-        return cached
-    struct = Structure(digest, *_scoap_numpy(netlist),
-                       _build_collapse_map(netlist))
-    _STATS["built"] += 1
-    _ANALYSES[netlist] = (sig, struct)
-    _remember(digest, struct)
+    else:
+        struct = Structure(digest, *_scoap_numpy(netlist),
+                           _build_collapse_map(netlist))
+        _STATS["built"] += 1
+        _STRUCT_BY_HASH[digest] = struct
+        while len(_STRUCT_BY_HASH) > shm.WORKER_CACHE_SIZE:
+            _STRUCT_BY_HASH.popitem(last=False)
+            _STATS["evictions"] += 1
+    memo["structure"] = struct
     return struct
-
-
-def _remember(digest: str, struct: Structure) -> None:
-    from repro.flow import shm
-
-    _STRUCT_BY_HASH[digest] = struct
-    _STRUCT_BY_HASH.move_to_end(digest)
-    while len(_STRUCT_BY_HASH) > shm.WORKER_CACHE_SIZE:
-        _STRUCT_BY_HASH.popitem(last=False)
-        _STATS["evictions"] += 1
 
 
 def collapse_map(netlist: Netlist) -> CollapseMap:
@@ -566,51 +557,6 @@ def atpg_fault_order(
     and hence the generated test set -- is reproducible.
     """
     return sorted(faults, key=lambda f: (-structure.difficulty(f), f))
-
-
-# ---------------------------------------------------------------------------
-# shard/worker plumbing
-
-
-def pack_scoap(structure: Structure, netlist: Netlist):
-    """``(n, 3)`` int64 ``[CC0, CC1, CO]`` rows in topo order.
-
-    The shm-publishable form: topo row indices are content-determined,
-    so a worker holding the hash-cached netlist rebuilds the exact
-    name-keyed measures without recomputing a single pass.
-    """
-    import numpy as np
-
-    order = netlist.topo_order()
-    arr = np.empty((len(order), 3), dtype=np.int64)
-    for i, name in enumerate(order):
-        arr[i, 0] = structure.cc0[name]
-        arr[i, 1] = structure.cc1[name]
-        arr[i, 2] = structure.co[name]
-    return arr
-
-
-def resolve_structure(digest: str, payload, netlist: Netlist) -> Structure:
-    """Worker-side :class:`Structure` for ``digest``, decoding at most
-    once per process.
-
-    ``payload`` supplies the packed SCOAP rows (an ``(n, 3)`` array,
-    see :func:`pack_scoap`) on a cache miss.
-    """
-    cached = _STRUCT_BY_HASH.get(digest)
-    if cached is not None:
-        _STRUCT_BY_HASH.move_to_end(digest)
-        _STATS["resolve_hits"] += 1
-        return cached
-    _STATS["resolve_misses"] += 1
-    order = netlist.topo_order()
-    cc0 = {n: int(payload[i, 0]) for i, n in enumerate(order)}
-    cc1 = {n: int(payload[i, 1]) for i, n in enumerate(order)}
-    co = {n: int(payload[i, 2]) for i, n in enumerate(order)}
-    struct = Structure(digest, cc0, cc1, co,
-                       _build_collapse_map(netlist))
-    _remember(digest, struct)
-    return struct
 
 
 def structure_stats() -> dict[str, int]:

@@ -188,14 +188,11 @@ def _random_predrop(
 
 def _podem_worker(args) -> list[ATPGResult]:
     from repro.gatelevel.shard import open_shard
-    from repro.gatelevel.structure import resolve_structure
+    from repro.gatelevel.structure import structural_analysis
 
-    digest, netlist, chunk, shared, params = open_shard(args)
-    structure = None
-    if params["guidance"]:
-        # The parent ships its packed SCOAP rows; a warm worker resolves
-        # them from its digest cache.
-        structure = resolve_structure(digest, shared.get("scoap"), netlist)
+    _digest, netlist, chunk, _shared, params = open_shard(args)
+    # A warm worker's hash-cached netlist keeps its analysis memoised.
+    structure = structural_analysis(netlist) if params["guidance"] else None
     return [
         combinational_atpg(netlist, f, structure=structure, **params)
         for f in chunk
@@ -225,15 +222,10 @@ def _parallel_podem(
     """
     from repro.gatelevel.shard import shard_map
 
-    scoap = None
-    if guidance:
-        from repro.gatelevel.structure import pack_scoap, structural_analysis
-
-        scoap = pack_scoap(structural_analysis(netlist), netlist)
     results = shard_map(
         _podem_worker, netlist, chunks, "podem_shard",
-        shared={"scoap": scoap}, backtrack_limit=backtrack_limit,
-        backend=atpg_backend, guidance=guidance,
+        backtrack_limit=backtrack_limit, backend=atpg_backend,
+        guidance=guidance,
     )
     return {res.fault: res for chunk in results for res in chunk}
 

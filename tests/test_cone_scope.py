@@ -12,14 +12,19 @@ are checked against an independent BFS over :meth:`Netlist.consumers`,
 and multi-cycle results against the interpreter on designs whose fault
 effects must cross non-scan flip-flops to be seen.
 
-The PODEM search context is cached per netlist; mutating the netlist
-must rebuild it, which the event-vs-reference agreement checks.
+The PODEM search context, like the compiled program, the structural
+analysis and the time-frame unrollings, lives in the netlist's derived
+memo (:meth:`Netlist.derived`); mutating the netlist or its output
+list must rebuild it, which the event-vs-reference agreement checks,
+and dropping the netlist must free it.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -29,7 +34,11 @@ from repro.gatelevel.atpg import _context, combinational_atpg
 from repro.gatelevel.fault_sim import _fault_simulate_cycles_interp
 from repro.gatelevel.faults import Fault, all_faults
 from repro.gatelevel.gates import Netlist
-from repro.gatelevel.kernel import FF_ANY, FF_SCAN, OP_BUF, compiled
+from repro.gatelevel.kernel import (
+    FF_ANY, FF_SCAN, OP_BUF, compiled, netlist_blob,
+)
+from repro.gatelevel.seq_atpg import sequential_atpg, unroll_cached
+from repro.gatelevel.structure import structural_analysis
 
 
 def _bfs(nl: Netlist, roots, stop) -> set[str]:
@@ -226,7 +235,7 @@ def test_podem_context_follows_netlist_mutation():
     assert _context(nl) is not ctx
     after = _podem_pair(nl, faults)
     assert [r.detected for r in before] != [r.detected for r in after]
-    # Output-list changes do not bump the version but still re-key.
+    # An output-list change re-keys too.
     ctx = _context(nl)
     nl.add("x", "input")
     nl.add("y", "xor", "b", "x")
@@ -235,6 +244,61 @@ def test_podem_context_follows_netlist_mutation():
     assert _context(nl) is not ctx
     res = _podem_pair(nl, [Fault("y", 0), Fault("x", 1)])
     assert all(r.detected for r in res)
+
+
+def _unroll2(nl: Netlist):
+    return unroll_cached(nl, 2)
+
+
+#: every module-level entry point that keeps state in the derived memo
+DERIVED = [compiled, structural_analysis, netlist_blob, _context, _unroll2]
+
+
+@pytest.mark.parametrize("derive", [compiled, structural_analysis, _unroll2])
+def test_derived_state_follows_netlist_mutation(derive):
+    nl = _chain()
+    first = derive(nl)
+    assert derive(nl) is first  # cached between calls
+    nl.add("c", "input")
+    nl.add("k", "nand", "c", "g")
+    grown = derive(nl)
+    assert grown is not first
+    # An output-list change re-keys too.
+    nl.add_output("k")
+    assert derive(nl) is not grown
+
+
+@pytest.mark.parametrize("derive", DERIVED, ids=lambda f: f.__name__)
+def test_derived_state_dies_with_its_netlist(derive):
+    nl = genscale.generate_netlist(80, seed=4)
+    derive(nl)
+    alive = weakref.ref(nl)
+    del nl
+    gc.collect()
+    assert alive() is None
+
+
+def _late_output() -> Netlist:
+    """``y = not(dff(a))`` is observable only once ``y`` is an output."""
+    nl = Netlist("late_output")
+    nl.add("a", "input")
+    nl.add("q", "dff", "a")
+    nl.add("x", "buf", "a")
+    nl.add("y", "not", "q")
+    nl.add_output("x")
+    return nl
+
+
+def test_sequential_atpg_follows_output_changes():
+    nl = _late_output()
+    fault = Fault("y", 0)
+    assert not sequential_atpg(nl, fault, max_frames=3).detected
+    nl.add_output("y")
+    fresh = _late_output()
+    fresh.add_output("y")
+    got = sequential_atpg(nl, fault, max_frames=3)
+    assert got == sequential_atpg(fresh, fault, max_frames=3)
+    assert got.detected
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -265,7 +329,10 @@ def test_interface_caches_are_copies_and_follow_version():
     scans.clear()
     assert nl.inputs() == ["a", "b"]
     assert [g.name for g in nl.scan_dffs()] == ["ff"]
-    assert pickle.dumps(nl) == blob  # caches never reach a pickle
+    for derive in (Netlist.topo_order, Netlist.levels, Netlist.consumers,
+                   *DERIVED):
+        derive(nl)
+    assert pickle.dumps(nl) == blob  # derived state never reaches a pickle
     nl.add("c", "input")
     nl.add("ff2", "dff", "c", scan=True)
     assert nl.inputs() == ["a", "b", "c"]

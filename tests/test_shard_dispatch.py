@@ -147,11 +147,15 @@ class TestNetlistHash:
         designs = [genscale.generate_netlist(40, seed=s)
                    for s in range(3)]
         blobs = [kernel.netlist_blob(nl) for nl in designs]
-        first = kernel.resolve_netlist(blobs[0][0], blobs[0][1])
+
+        def body(i):
+            return lambda: pickle.loads(blobs[i][1])
+
+        first = kernel.resolve_netlist(blobs[0][0], body(0))
         assert kernel.resolve_netlist(blobs[0][0], None) is first
-        kernel.resolve_netlist(blobs[1][0], blobs[1][1])
-        kernel.resolve_netlist(blobs[2][0], blobs[2][1])  # evicts [0]
-        again = kernel.resolve_netlist(blobs[0][0], blobs[0][1])
+        kernel.resolve_netlist(blobs[1][0], body(1))
+        kernel.resolve_netlist(blobs[2][0], body(2))  # evicts [0]
+        again = kernel.resolve_netlist(blobs[0][0], body(0))
         assert again is not first
         assert pickle.dumps(again) == pickle.dumps(first)
 
