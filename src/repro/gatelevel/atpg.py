@@ -12,6 +12,12 @@ points are the primary inputs plus scan-FF outputs.  This gives the
 standard scan-based combinational ATPG semantics used by the
 experiments.
 
+The search runs on the rows of the netlist's
+:class:`~repro.gatelevel.kernel.CompiledNetlist`: a net is its
+topological row number, a 3-valued value is a small int (``0``, ``1``
+or ``_X``), and names appear only at the API boundary (the fault sites
+going in, the test cube coming out).
+
 Two search-state engines produce *identical* results (same test, same
 decision and backtrack counts, property-tested in
 ``tests/test_atpg_equivalence.py``):
@@ -19,11 +25,13 @@ decision and backtrack counts, property-tested in
 * the **event-driven engine** (default): each search starts from the
   netlist's cached all-X good machine and propagates only the fault
   sites; on each decision or backtrack only the fanout cone of the
-  changed control point is re-evaluated, the faulty machine only
-  inside the fault's combinational fanout, and the D-frontier and
-  detection state are maintained incrementally;
-* the **reference engine**: whole-netlist 3-valued re-simulation of
-  both machines on every search step, kept for equivalence checking.
+  changed control point is re-evaluated, each row through its
+  opcode's 3-valued truth table, the faulty machine only inside the
+  fault's combinational fanout, and the D-frontier and detection state
+  are maintained incrementally;
+* the **reference engine**: whole-netlist name-keyed 3-valued
+  re-simulation of both machines on every search step, kept for
+  equivalence checking.
 
 Select with ``backend=`` (``"event"`` / ``"reference"``) or the
 ``REPRO_ATPG_BACKEND`` environment variable, mirroring the fault-sim
@@ -34,17 +42,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import product
 from typing import Mapping, Sequence
 
 from repro.gatelevel.faults import Fault
 from repro.gatelevel.gates import Netlist
+from repro.gatelevel.kernel import (
+    OP_AND, OP_BUF, OP_CONST0, OP_CONST1, OP_DFF, OP_INPUT, OP_MUX,
+    OP_NAND, OP_NOR, OP_NOT, OP_OR, OP_XNOR, OP_XOR, compiled,
+)
 from repro.gatelevel.structure import INF as _SCOAP_INF
 from repro.knobs import resolve
 
 X = None
 
-_NONCONTROLLING = {"and": 1, "nand": 1, "or": 0, "nor": 0}
-_INVERTING = {"not", "nand", "nor", "xnor"}
+#: X as a row value; ``good ^ bad == 1`` exactly when both are binary
+#: and differ
+_X = 2
+_CODE = {0: 0, 1: 1, X: _X}
+
+_NONCONTROLLING = {OP_AND: 1, OP_NAND: 1, OP_OR: 0, OP_NOR: 0}
+_INVERTING = frozenset({OP_NOT, OP_NAND, OP_NOR, OP_XNOR})
 
 
 def _eval3(kind: str, ins: list) -> int | None:
@@ -81,6 +99,20 @@ def _eval3(kind: str, ins: list) -> int | None:
     raise ValueError(f"cannot 3-value evaluate {kind!r}")
 
 
+#: each opcode's 3-valued truth table over row values, derived from
+#: :func:`_eval3`: the value of inputs ``(v0, .., vk)`` sits at index
+#: ``v0 * 3**k + .. + vk``
+_TABLE = {
+    op: tuple(_CODE[_eval3(kind, list(ins))]
+              for ins in product((0, 1, X), repeat=arity))
+    for kind, op, arity in (
+        ("buf", OP_BUF, 1), ("not", OP_NOT, 1), ("and", OP_AND, 2),
+        ("or", OP_OR, 2), ("nand", OP_NAND, 2), ("nor", OP_NOR, 2),
+        ("xor", OP_XOR, 2), ("xnor", OP_XNOR, 2), ("mux", OP_MUX, 3),
+    )
+}
+
+
 def sim3(
     netlist: Netlist,
     order: Sequence[str],
@@ -98,12 +130,9 @@ def _sim3_gates(
     assign: Mapping[str, int],
     forced: Mapping[str, int] | None = None,
 ) -> dict[str, int | None]:
-    """:func:`sim3` over a pre-resolved topo-ordered gate list.
-
-    PODEM simulates both machines on every decision, so the per-call
-    name->gate dict resolution is hoisted out (the good-machine hot
-    path; :func:`combinational_atpg` builds the list once).
-    """
+    """:func:`sim3` over a pre-resolved topo-ordered gate list (the
+    reference engine simulates both machines on every decision, so it
+    resolves the list once)."""
     forced = forced or {}
     values: dict[str, int | None] = {}
     for gate in gates:
@@ -139,22 +168,10 @@ class ATPGResult:
         return self.decisions + self.backtracks
 
 
-def default_observe(netlist: Netlist) -> list[str]:
-    return list(netlist.outputs) + [
-        g.inputs[0] for g in netlist.scan_dffs()
-    ]
-
-
-def default_control(netlist: Netlist) -> set[str]:
-    return set(netlist.inputs()) | {g.name for g in netlist.scan_dffs()}
-
-
 def combinational_atpg(
     netlist: Netlist,
     fault: Fault,
     backtrack_limit: int = 500,
-    observe: Sequence[str] | None = None,
-    control: set[str] | None = None,
     forced_extra: Mapping[str, int] | None = None,
     backend: str | None = None,
     guidance: bool | None = None,
@@ -178,19 +195,17 @@ def combinational_atpg(
     """
     backend = resolve("REPRO_ATPG_BACKEND", backend)
     ctx = _context(netlist)
-    if observe is None:
-        observe = ctx.observe
-    if control is None:
-        control = ctx.control
     scoap = None
     if guidance is None or guidance:
         if structure is None:
             from repro.gatelevel.structure import structural_analysis
 
             structure = structural_analysis(netlist)
-        scoap = (structure.cc0, structure.cc1, structure.co)
+        scoap = ctx.scoap(structure)
     forced = {fault.net: fault.stuck_at}
     forced.update(forced_extra or {})
+    index = ctx.index
+    site = index[fault.net]
     # A fault on a scan flip-flop's *output* net forces the captured
     # state too (see ``parallel_simulate``): the scan chain unloads the
     # stuck value while the good machine unloads whatever the D-input
@@ -199,23 +214,19 @@ def combinational_atpg(
     # machine's D-input justifies to the opposite of the stuck value,
     # with no propagation through logic at all.
     scan_obs = None
-    site_gate = netlist.gates.get(fault.net)
-    if (site_gate is not None and site_gate.kind == "dff"
-            and site_gate.scan and forced_extra is None):
-        scan_obs = (site_gate.inputs[0], 1 - fault.stuck_at)
-    if control is ctx.control:
-        reachable = ctx.support
-    else:
-        reachable = _control_support(netlist, ctx.order, control)
+    if (ctx.op[site] == OP_DFF and ctx.control[site]
+            and forced_extra is None):
+        scan_obs = (index[netlist.gate(fault.net).inputs[0]],
+                    1 - fault.stuck_at)
     if backend == "event":
-        engine: _ReferenceEngine | _EventEngine = _EventEngine(
-            netlist, forced, observe, ctx
-        )
+        engine: _ReferenceEngine | _EventEngine = _EventEngine(ctx, {
+            index[n]: v for n, v in forced.items() if n in index
+        })
     else:
-        engine = _ReferenceEngine(netlist, forced, observe)
+        engine = _ReferenceEngine(netlist, ctx, forced)
 
-    assign: dict[str, int] = {}
-    stack: list[list] = []  # [net, value, exhausted]
+    assign: dict[int, int] = {}
+    stack: list[list] = []  # [row, value, exhausted]
     backtracks = 0
     decisions = 0
 
@@ -225,18 +236,18 @@ def combinational_atpg(
         if engine.detected() or (
             scan_obs is not None and good[scan_obs[0]] == scan_obs[1]
         ):
-            return ATPGResult(fault, True, False, dict(assign),
+            names = ctx.names
+            return ATPGResult(fault, True, False,
+                              {names[r]: v for r, v in assign.items()},
                               backtracks, decisions)
-        target = _find_target(
-            netlist, fault, engine, control, assign, reachable, scoap,
-            scan_obs,
-        )
+        target = _find_target(ctx, site, fault.stuck_at, engine, assign,
+                              scoap, scan_obs)
         if target is None:
             # Conflict or uncontrollable objective: backtrack.
             while stack and stack[-1][2]:
-                net, _v, _e = stack.pop()
-                del assign[net]
-                engine.unassign(net)
+                row, _v, _e = stack.pop()
+                del assign[row]
+                engine.unassign(row)
             if not stack:
                 aborted = backtracks >= backtrack_limit
                 return ATPGResult(fault, False, aborted, None,
@@ -250,10 +261,10 @@ def combinational_atpg(
                 return ATPGResult(fault, False, True, None,
                                   backtracks, decisions)
             continue
-        net, val = target
-        assign[net] = val
-        engine.set(net, val)
-        stack.append([net, val, False])
+        row, val = target
+        assign[row] = val
+        engine.set(row, val)
+        stack.append([row, val, False])
         decisions += 1
 
 
@@ -264,11 +275,12 @@ def _detected_at(observe, good, bad) -> bool:
     )
 
 
-def _find_target(netlist, fault, engine, control, assign, reachable,
-                 scoap=None, scan_obs=None):
-    """Next PODEM decision: activate the fault, then advance the
-    D-frontier.  Returns a backtraced (control point, value) or None
-    when every objective under the current assignment is hopeless.
+def _find_target(ctx, site, stuck, engine, assign, scoap=None,
+                 scan_obs=None):
+    """Next PODEM decision: activate the fault at row ``site``, then
+    advance the D-frontier.  Returns a backtraced (control row, value)
+    or None when every objective under the current assignment is
+    hopeless.
 
     Every D-frontier gate is tried in turn (first by netlist scan
     order; with ``scoap`` guidance, easiest-to-observe first): a gate
@@ -284,37 +296,25 @@ def _find_target(netlist, fault, engine, control, assign, reachable,
     tried before fault activation.
     """
     good = engine.good
-    if scan_obs is not None and good[scan_obs[0]] is X:
-        target = _backtrace(
-            netlist, good, control, assign, reachable,
-            scan_obs[0], scan_obs[1], scoap=scoap,
-        )
+    if scan_obs is not None and good[scan_obs[0]] == _X:
+        target = _backtrace(ctx, good, assign, scan_obs[0], scan_obs[1],
+                            scoap)
         if target is not None:
             return target
-    site = good[fault.net]
-    if site is X:
-        return _backtrace(
-            netlist, good, control, assign, reachable,
-            fault.net, 1 - fault.stuck_at, scoap=scoap,
-        )
-    if site == fault.stuck_at:
+    value = good[site]
+    if value == _X:
+        return _backtrace(ctx, good, assign, site, 1 - stuck, scoap)
+    if value == stuck:
         return None  # activation conflict under current assignment
     frontier = engine.frontier()
     if scoap is not None and len(frontier) > 1:
-        co = scoap[2]
         # sorted() is stable: ties keep netlist scan order.
-        frontier = sorted(
-            frontier, key=lambda g: co.get(g, _SCOAP_INF)
-        )
-    for name in frontier:
-        gate = netlist.gate(name)
-        nc = _NONCONTROLLING.get(gate.kind)
-        for src in gate.inputs:
-            if good[src] is X:
-                target = _backtrace(
-                    netlist, good, control, assign, reachable,
-                    src, nc if nc is not None else 1, scoap=scoap,
-                )
+        frontier = sorted(frontier, key=scoap[2].__getitem__)
+    for row in frontier:
+        nc = _NONCONTROLLING.get(ctx.op[row], 1)
+        for src in ctx.fanin[row]:
+            if good[src] == _X:
+                target = _backtrace(ctx, good, assign, src, nc, scoap)
                 if target is not None:
                     return target
                 break  # this gate cannot propagate under this assignment
@@ -338,60 +338,110 @@ def _d_frontier(netlist, good, bad) -> list[str]:
 
 class _ReferenceEngine:
     """Whole-netlist re-simulation on every search step (the original
-    PODEM inner loop, kept as the equivalence baseline)."""
+    PODEM inner loop, kept as the equivalence baseline).  Both machines
+    stay name-keyed; the search sees the good machine and the frontier
+    as rows."""
 
-    def __init__(self, netlist: Netlist, forced: Mapping[str, int],
-                 observe: Sequence[str]) -> None:
+    def __init__(self, netlist: Netlist, ctx: _PodemContext,
+                 forced: Mapping[str, int]) -> None:
         self.netlist = netlist
+        self.ctx = ctx
         self.forced = forced
-        self.observe = list(observe)
-        self._gates = [netlist.gate(n) for n in netlist.topo_order()]
-        self.good: dict[str, int | None] = {}
-        self.bad: dict[str, int | None] = {}
+        self.observe = [ctx.names[r] for r in ctx.observe]
+        self._gates = [netlist.gate(n) for n in ctx.names]
+        self.good: list[int] = []
 
-    def refresh(self, assign: Mapping[str, int]) -> None:
-        self.good = _sim3_gates(self._gates, assign)
-        self.bad = _sim3_gates(self._gates, assign, forced=self.forced)
+    def refresh(self, assign: Mapping[int, int]) -> None:
+        names = self.ctx.names
+        named = {names[r]: v for r, v in assign.items()}
+        self._good = _sim3_gates(self._gates, named)
+        self._bad = _sim3_gates(self._gates, named, forced=self.forced)
+        # Values are inserted in topological order, which is row order.
+        self.good = [_CODE[v] for v in self._good.values()]
 
-    def set(self, net: str, val: int) -> None:  # state read at refresh
+    def set(self, row: int, val: int) -> None:  # state read at refresh
         pass
 
-    def unassign(self, net: str) -> None:
+    def unassign(self, row: int) -> None:
         pass
 
     def detected(self) -> bool:
-        return _detected_at(self.observe, self.good, self.bad)
+        return _detected_at(self.observe, self._good, self._bad)
 
-    def frontier(self) -> list[str]:
-        return _d_frontier(self.netlist, self.good, self.bad)
-
-
-_SOURCE_KINDS = ("input", "dff", "const0", "const1")
+    def frontier(self) -> list[int]:
+        index = self.ctx.index
+        return [index[n]
+                for n in _d_frontier(self.netlist, self._good, self._bad)]
 
 
 class _PodemContext:
-    """Per-netlist search state every fault's PODEM shares: topo and
-    insertion positions, consumers, the default observe/control lists,
-    their control support and the all-X good machine (the good
-    machine under the empty assignment every search starts from)."""
+    """Per-netlist search state every fault's PODEM shares, one entry
+    per row of the netlist's compiled program: opcode and its truth
+    table, fanin and combinational consumer rows, insertion position
+    (the D-frontier order), control and control-support flags and the
+    all-X good machine (the good machine under the empty assignment
+    every search starts from); plus the observe rows and the SCOAP
+    lists of the analysis last asked for."""
 
-    __slots__ = ("order", "topo_pos", "scan_pos", "consumers",
-                 "observe", "observe_set", "control", "support",
-                 "good_x")
+    __slots__ = ("names", "index", "op", "fanin", "table", "consumers",
+                 "ins_pos", "observe", "control", "support", "good_x",
+                 "_scoap")
 
     def __init__(self, netlist: Netlist) -> None:
-        order = netlist.topo_order()
-        self.order = order
-        self.topo_pos = {n: i for i, n in enumerate(order)}
-        # _d_frontier scans gates in insertion order; the maintained
-        # frontier must report its minimum under the same order.
-        self.scan_pos = {n: i for i, n in enumerate(netlist.gates)}
-        self.consumers = netlist.consumers()
-        self.observe = default_observe(netlist)
-        self.observe_set = frozenset(self.observe)
-        self.control = default_control(netlist)
-        self.support = _control_support(netlist, order, self.control)
-        self.good_x = _sim3_gates([netlist.gate(n) for n in order], {})
+        comp = compiled(netlist)
+        names, index = comp.names, comp.index
+        self.names, self.index = names, index
+        self.op = op = comp.opcode.tolist()
+        gates = netlist.gates
+        # A flip-flop's output is a source here: no fanin, and so no
+        # consumer edge from its D-input.
+        self.fanin = fanin = [
+            () if op[r] == OP_DFF
+            else tuple(index[s] for s in gates[name].inputs)
+            for r, name in enumerate(names)
+        ]
+        self.table = [_TABLE.get(o) for o in op]
+        consumers: list[list[int]] = [[] for _ in names]
+        for r, ins in enumerate(fanin):
+            for s in ins:
+                consumers[s].append(r)
+        self.consumers = [tuple(c) for c in consumers]
+        self.ins_pos = [0] * len(names)
+        for pos, name in enumerate(gates):
+            self.ins_pos[index[name]] = pos
+        self.observe = frozenset(
+            [index[o] for o in netlist.outputs]
+            + [index[g.inputs[0]] for g in netlist.scan_dffs()]
+        )
+        self.control = bytearray(
+            op[r] == OP_INPUT or (op[r] == OP_DFF and gates[name].scan)
+            for r, name in enumerate(names)
+        )
+        # Rows whose input cone holds a control point: an X there can
+        # in principle be justified by PI/scan assignments.
+        self.support = support = bytearray(self.control)
+        self.good_x = good_x = []
+        const = {OP_CONST0: 0, OP_CONST1: 1}
+        for r, ins in enumerate(fanin):
+            if ins:
+                support[r] = any(support[s] for s in ins)
+                at = 0
+                for s in ins:
+                    at = at * 3 + good_x[s]
+                good_x.append(self.table[r][at])
+            else:
+                good_x.append(const.get(op[r], _X))
+        self._scoap = None
+
+    def scoap(self, structure) -> tuple[list, list, list]:
+        """``structure``'s CC0, CC1 and CO as row lists, kept for the
+        analysis last asked for."""
+        if self._scoap is None or self._scoap[0] is not structure:
+            self._scoap = (structure, tuple(
+                [cost.get(n, _SCOAP_INF) for n in self.names]
+                for cost in (structure.cc0, structure.cc1, structure.co)
+            ))
+        return self._scoap[1]
 
 
 def _context(netlist: Netlist) -> _PodemContext:
@@ -405,190 +455,147 @@ def _context(netlist: Netlist) -> _PodemContext:
 
 
 class _EventEngine:
-    """Event-driven incremental search state.
+    """Event-driven incremental search state over the context's rows.
 
     The good machine starts as a copy of the context's all-X state and
     the faulty machine as a second copy with only the fault sites
     propagated.  Outside the fault's combinational fanout -- the sites
-    plus every gate they reach without crossing a flip-flop -- the
+    plus every row they reach without crossing a flip-flop -- the
     faulty machine equals the good one by construction, so it is never
     evaluated there and no frontier or detection recheck happens there.
     Every decision/backtrack re-evaluates only the fanout cone of the
-    changed control point, in topological order, stopping where values
-    settle.  The D-frontier is a maintained set (queried as "first gate
-    in netlist insertion order", matching :func:`_d_frontier`'s scan
-    order exactly), and detection is a maintained set of observation
-    points currently showing a binary good/bad difference.
+    changed control point, in row (topological) order with the row
+    number as the heap key, stopping where values settle.  The
+    D-frontier is a maintained set (queried in netlist insertion
+    order, matching :func:`_d_frontier`'s scan order exactly), and
+    detection is a maintained set of observation rows currently
+    showing a binary good/bad difference.
     """
 
-    def __init__(self, netlist: Netlist, forced: Mapping[str, int],
-                 observe: Sequence[str], ctx: _PodemContext) -> None:
-        self.netlist = netlist
-        gates = netlist.gates
-        self._gates = gates
-        self.forced = {n: v for n, v in forced.items() if n in gates}
-        self._topo_pos = ctx.topo_pos
-        self._order = ctx.order
-        self._scan_pos = ctx.scan_pos
-        self._consumers = ctx.consumers
-        self._observe_set = (ctx.observe_set if observe is ctx.observe
-                             else set(observe))
-        self._fanout = self._fault_fanout()
-        self.assign: dict[str, int] = {}
-        self.good = dict(ctx.good_x)
-        self.bad = dict(ctx.good_x)
-        self._diff_obs: set[str] = set()
-        self._frontier: set[str] = set()
-        self._propagate(*self.forced)
+    def __init__(self, ctx: _PodemContext, forced: dict[int, int]) -> None:
+        self.ctx = ctx
+        self.forced = forced
+        self.fanout = self._fault_fanout()
+        self.assign: dict[int, int] = {}
+        self.good = list(ctx.good_x)
+        self.bad = list(ctx.good_x)
+        self._diff_obs: set[int] = set()
+        self._frontier: set[int] = set()
+        self._propagate(self.forced)
 
-    def _fault_fanout(self) -> set[str]:
-        """The fault sites plus every gate they reach combinationally."""
-        gates, consumers = self._gates, self._consumers
+    def _fault_fanout(self) -> set[int]:
+        """The fault sites plus every row they reach combinationally."""
+        consumers = self.ctx.consumers
         seen = set(self.forced)
         stack = list(seen)
         while stack:
-            for c in consumers.get(stack.pop(), ()):
-                if c not in seen and gates[c].kind != "dff":
+            for c in consumers[stack.pop()]:
+                if c not in seen:
                     seen.add(c)
                     stack.append(c)
         return seen
 
     # -- engine interface ------------------------------------------------
 
-    def refresh(self, assign: Mapping[str, int]) -> None:
+    def refresh(self, assign: Mapping[int, int]) -> None:
         pass  # state is maintained by set()/unassign()
 
-    def set(self, net: str, val: int) -> None:
-        self.assign[net] = val
-        self._propagate(net)
+    def set(self, row: int, val: int) -> None:
+        self.assign[row] = val
+        self._propagate((row,))
 
-    def unassign(self, net: str) -> None:
-        del self.assign[net]
-        self._propagate(net)
+    def unassign(self, row: int) -> None:
+        del self.assign[row]
+        self._propagate((row,))
 
     def detected(self) -> bool:
         return bool(self._diff_obs)
 
-    def frontier(self) -> list[str]:
-        return sorted(self._frontier, key=self._scan_pos.__getitem__)
+    def frontier(self) -> list[int]:
+        return sorted(self._frontier, key=self.ctx.ins_pos.__getitem__)
 
     # -- incremental machinery -------------------------------------------
 
-    def _eval_good(self, name: str):
-        gate = self._gates[name]
-        kind = gate.kind
-        if kind in ("input", "dff"):
-            return self.assign.get(name, X)
-        if kind == "const0":
-            return 0
-        if kind == "const1":
-            return 1
-        good = self.good
-        return _eval3(kind, [good[i] for i in gate.inputs])
-
-    def _eval_bad(self, name: str):
-        gate = self._gates[name]
-        kind = gate.kind
-        if kind in ("input", "dff"):
-            return self.assign.get(name, X)
-        if kind == "const0":
-            return 0
-        if kind == "const1":
-            return 1
-        bad = self.bad
-        return _eval3(kind, [bad[i] for i in gate.inputs])
-
-    def _propagate(self, *roots: str) -> None:
-        """Re-evaluate the fanout cone of ``roots`` in topological order,
-        then refresh frontier/detection views for the changed nets."""
-        topo_pos = self._topo_pos
-        consumers = self._consumers
-        forced = self.forced
-        fanout = self._fanout
+    def _propagate(self, roots) -> None:
+        """Re-evaluate the fanout cone of ``roots`` in row order, then
+        refresh frontier/detection views for the changed rows."""
+        ctx = self.ctx
+        fanin, table, consumers = ctx.fanin, ctx.table, ctx.consumers
+        good_x, assign = ctx.good_x, self.assign
+        forced, fanout = self.forced, self.fanout
         good, bad = self.good, self.bad
-        heap = sorted(topo_pos[r] for r in roots)
-        queued = set(roots)
-        changed: list[str] = []
+        heap = sorted(roots)
+        queued = set(heap)
+        changed: list[int] = []
         while heap:
-            name = self._order[heappop(heap)]
-            queued.discard(name)
-            g = self._eval_good(name)
-            delta = g != good[name]
+            r = heappop(heap)
+            ins = fanin[r]
+            n = len(ins)
+            if n == 2:
+                g = table[r][good[ins[0]] * 3 + good[ins[1]]]
+            elif n == 1:
+                g = table[r][good[ins[0]]]
+            elif n:
+                g = table[r][good[ins[0]] * 9 + good[ins[1]] * 3
+                             + good[ins[2]]]
+            else:  # a source: inputs and flip-flops follow the decisions
+                g = assign.get(r, good_x[r])
+            delta = g != good[r]
             if delta:
-                good[name] = g
-            if name in fanout:
-                b = forced[name] if name in forced else self._eval_bad(name)
-                if b != bad[name]:
-                    bad[name] = b
+                good[r] = g
+            if r in fanout:
+                if r in forced:
+                    b = forced[r]
+                elif n == 2:
+                    b = table[r][bad[ins[0]] * 3 + bad[ins[1]]]
+                elif n == 1:
+                    b = table[r][bad[ins[0]]]
+                else:
+                    b = table[r][bad[ins[0]] * 9 + bad[ins[1]] * 3
+                                 + bad[ins[2]]]
+                if b != bad[r]:
+                    bad[r] = b
                     delta = True
             elif delta:
-                bad[name] = g  # outside the fanout bad mirrors good
+                bad[r] = g  # outside the fanout bad mirrors good
             if delta:
-                changed.append(name)
-                for c in consumers.get(name, ()):
+                changed.append(r)
+                for c in consumers[r]:
                     if c not in queued:
                         queued.add(c)
-                        heappush(heap, topo_pos[c])
+                        heappush(heap, c)
         if changed:
             self._update_views(changed)
 
-    def _update_views(self, changed: list[str]) -> None:
+    def _update_views(self, changed: list[int]) -> None:
         # Frontier gates and differing observation points both lie in
         # the fault's fanout, so nothing outside it needs a recheck.
+        ctx = self.ctx
+        fanin, consumers, observe = ctx.fanin, ctx.consumers, ctx.observe
         good, bad = self.good, self.bad
-        fanout = self._fanout
+        fanout = self.fanout
         recheck = set()
-        for name in changed:
-            if name in fanout:
-                recheck.add(name)
-                if name in self._observe_set:
-                    if (good[name] is not X and bad[name] is not X
-                            and good[name] != bad[name]):
-                        self._diff_obs.add(name)
+        for r in changed:
+            if r in fanout:
+                recheck.add(r)
+                if r in observe:
+                    if good[r] ^ bad[r] == 1:
+                        self._diff_obs.add(r)
                     else:
-                        self._diff_obs.discard(name)
-            recheck.update(
-                c for c in self._consumers.get(name, ()) if c in fanout
-            )
+                        self._diff_obs.discard(r)
+            recheck.update(c for c in consumers[r] if c in fanout)
         frontier = self._frontier
-        for name in recheck:
-            if self._is_frontier(name):
-                frontier.add(name)
+        for r in recheck:
+            # A frontier gate has an X output in either machine and a
+            # fanin showing a binary difference (sources have none).
+            if ((good[r] == _X or bad[r] == _X)
+                    and any(good[s] ^ bad[s] == 1 for s in fanin[r])):
+                frontier.add(r)
             else:
-                frontier.discard(name)
-
-    def _is_frontier(self, name: str) -> bool:
-        gate = self._gates[name]
-        if gate.kind in _SOURCE_KINDS:
-            return False
-        good, bad = self.good, self.bad
-        if good[name] is not X and bad[name] is not X:
-            return False
-        for src in gate.inputs:
-            gs, bs = good[src], bad[src]
-            if gs is not X and bs is not X and gs != bs:
-                return True
-        return False
+                frontier.discard(r)
 
 
-def _control_support(netlist, order, control) -> set[str]:
-    """Nets whose input cone contains a control point (so an X there can
-    in principle be justified by PI/scan assignments)."""
-    supported: set[str] = set()
-    for name in order:
-        if name in control:
-            supported.add(name)
-            continue
-        gate = netlist.gate(name)
-        if gate.kind in ("input", "dff", "const0", "const1"):
-            continue
-        if any(i in supported for i in gate.inputs):
-            supported.add(name)
-    return supported
-
-
-def _backtrace(netlist, good, control, assign, reachable, net, val,
-               scoap=None):
+def _backtrace(ctx, good, assign, row, val, scoap=None):
     """Find an X-path from the objective to an unassigned control point.
 
     A memoised depth-first search over the candidate X-inputs at each
@@ -601,100 +608,100 @@ def _backtrace(netlist, good, control, assign, reachable, net, val,
     conflicts and the same classification, differing only in which
     control assignment (and hence which vector) comes back first.
 
-    ``scoap`` is an optional ``(cc0, cc1)`` pair of per-net SCOAP
-    controllability maps; when present, candidates are tried
-    cheapest-to-set first (deterministic: cost, then first-listed
-    order) instead of plain first-listed order.
+    ``scoap`` is an optional ``(cc0, cc1, co)`` triple of per-row SCOAP
+    lists; when present, candidates are tried cheapest-to-set first
+    (deterministic: cost, then first-listed order) instead of plain
+    first-listed order.
     """
-    #: (net, val) pairs proven to have no X-path to an unassigned
+    op, fanin, control = ctx.op, ctx.fanin, ctx.control
+    reachable = ctx.support
+    limit = len(op) + 1
+    #: (row, val) pairs proven to have no X-path to an unassigned
     #: control point under the current assignment -- the memo that
     #: keeps the retry search linear in the cone size.
-    dead: set[tuple[str, int]] = set()
+    dead: set[tuple[int, int]] = set()
 
-    def ordered(candidates: list[str], want: int) -> list[str]:
+    def ordered(candidates: list[int], want: int) -> list[int]:
         # Branches with no control point anywhere in their cone can
         # never terminate the walk; drop them outright.
-        live = [s for s in candidates if s in reachable]
+        live = [s for s in candidates if reachable[s]]
         if scoap is None or len(live) < 2:
             return live
-        costs = scoap[0] if want == 0 else scoap[1]
         # sorted() is stable: equal costs fall back to first-listed
         # order, keeping the guided search deterministic.
-        return sorted(live, key=lambda s: costs.get(s, _SCOAP_INF))
+        return sorted(live, key=scoap[want].__getitem__)
 
-    def walk(net: str, val: int, depth: int):
-        if depth > len(netlist) + 1:
+    def walk(row: int, val: int, depth: int):
+        if depth > limit:
             return None
-        key = (net, val)
+        key = (row, val)
         if key in dead:
             return None
-        found = _walk(net, val, depth)
+        found = _walk(row, val, depth)
         if found is None:
             dead.add(key)
         return found
 
-    def _walk(net: str, val: int, depth: int):
-        if net in control:
-            if net in assign:
+    def _walk(row: int, val: int, depth: int):
+        if control[row]:
+            if row in assign:
                 return None
-            return (net, val)
-        gate = netlist.gate(net)
-        if gate.kind in ("dff", "input", "const0", "const1"):
+            return (row, val)
+        ins = fanin[row]
+        if not ins:
             return None  # uncontrollable source (unscanned state / const)
-        kind = gate.kind
+        kind = op[row]
         if kind in _INVERTING:
             val = 1 - val
-        if kind in ("buf", "not"):
-            return walk(gate.inputs[0], val, depth + 1)
-        if kind in ("and", "nand", "or", "nor"):
+        if len(ins) == 1:  # buf, not
+            return walk(ins[0], val, depth + 1)
+        if kind in _NONCONTROLLING:
             # val (inversion already applied) is the AND/OR-part target;
             # both "all inputs to the non-controlling value" and "one
             # input to the controlling value" mean driving an X input to
             # val itself.
-            xin = [s for s in gate.inputs if good[s] is X]
+            xin = [s for s in ins if good[s] == _X]
             for choice in ordered(xin, val):
                 found = walk(choice, val, depth + 1)
                 if found is not None:
                     return found
             return None
-        if kind in ("xor", "xnor"):
-            a, b = gate.inputs
-            xin = [s for s in (a, b) if good[s] is X]
+        if len(ins) == 2:  # xor, xnor
+            a, b = ins
+            xin = [s for s in ins if good[s] == _X]
             for choice in ordered(xin, val):
-                other = b if choice == a else a
-                want = val ^ (good[other] if good[other] is not X else 0)
+                other = good[b if choice == a else a]
+                want = val ^ (other if other != _X else 0)
                 found = walk(choice, want, depth + 1)
                 if found is not None:
                     return found
             return None
-        if kind == "mux":
-            s, a, b = gate.inputs
-            if good[s] is X and s in reachable:
-                # steer toward a justifiable X data input first, but
-                # keep the other select polarity as a fallback
-                if good[a] is X and a in reachable:
-                    sel_order = (1, 0)
-                elif good[b] is X and b in reachable:
-                    sel_order = (0, 1)
-                elif good[a] is X:
-                    sel_order = (1, 0)
-                else:
-                    sel_order = (0, 1)
-                for sv in sel_order:
-                    found = walk(s, sv, depth + 1)
-                    if found is not None:
-                        return found
-                return None
-            if good[s] is X:
-                # select uncontrollable: try a data input that already
-                # matches on both legs, else give up on this path
-                xin = [d for d in (a, b) if good[d] is X]
-                for choice in ordered(xin, val):
-                    found = walk(choice, val, depth + 1)
-                    if found is not None:
-                        return found
-                return None
-            return walk(a if good[s] == 1 else b, val, depth + 1)
-        return None
+        s, a, b = ins
+        if good[s] == _X and reachable[s]:
+            # steer toward a justifiable X data input first, but
+            # keep the other select polarity as a fallback
+            if good[a] == _X and reachable[a]:
+                sel_order = (1, 0)
+            elif good[b] == _X and reachable[b]:
+                sel_order = (0, 1)
+            elif good[a] == _X:
+                sel_order = (1, 0)
+            else:
+                sel_order = (0, 1)
+            for sv in sel_order:
+                found = walk(s, sv, depth + 1)
+                if found is not None:
+                    return found
+            return None
+        if good[s] == _X:
+            # select uncontrollable: try a data input that already
+            # matches on both legs, else give up on this path
+            xin = [d for d in (a, b) if good[d] == _X]
+            for choice in ordered(xin, val):
+                found = walk(choice, val, depth + 1)
+                if found is not None:
+                    return found
+            return None
+        return walk(a if good[s] == 1 else b, val, depth + 1)
 
-    return walk(net, val, 0)
+    return walk(row, val, 0)

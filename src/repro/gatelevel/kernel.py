@@ -273,6 +273,8 @@ class CompiledNetlist:
             self.program.append((op, dst, a, b, c))
         (self.program, self._row_flat, self._flat_group, self._flat,
          self._group_level) = _group_index(self.program, level)
+        #: the whole program as ``[(level, [instructions])]``
+        self.program_levels = self._kept_levels(range(n))
 
         # Fanout adjacency (a DFF "consumes" its D input, which folds
         # the cross-cycle edge D -> state into the closure), and each
@@ -402,16 +404,10 @@ class CompiledNetlist:
                 )
             for row, words in by_level.get(0, ()):
                 V[row] = words
-        cur = 0
-        for op, dst, a, b, c in self.program:
-            lvl = int(self.level[dst[0]])
-            while cur < lvl:
-                cur += 1
-                for row, words in by_level.get(cur, ()):
-                    V[row] = words
-            # A forced net at this level must not be overwritten by its
-            # own gate evaluation: re-apply after the group runs.
-            self._run_program(V, [(op, dst, a, b, c)], mask)
+        # A level reads only lower levels, so a forced net is applied
+        # once, after its own level has run.
+        for lvl, instrs in self.program_levels:
+            self._run_program(V, instrs, mask)
             for row, words in by_level.get(lvl, ()):
                 V[row] = words
         nxt = V[self.dff_d_rows].copy() if len(self.dff_rows) else (
@@ -589,16 +585,15 @@ class CompiledNetlist:
         obs_pos = _np.array(sorted(pos), dtype=_np.int64)
         if not marks or not known or not len(obs_pos):
             return result
-        levels = self._kept_levels(range(self.n_gates))
         per_batch = max(1, int(columns or SEQ_FAULT_COLUMNS) - 1)
         for start in range(0, len(known), per_batch):
             self._seq_fault_batch(
                 known[start:start + per_batch], pi_values, marks,
-                obs_pos, levels, result,
+                obs_pos, result,
             )
         return result
 
-    def _seq_fault_batch(self, batch, pi_values, marks, obs_pos, levels,
+    def _seq_fault_batch(self, batch, pi_values, marks, obs_pos,
                          result) -> None:
         """One packed free-run: golden in column 0, fault *b* in column
         ``b + 1``; first-detection checkpoints land in ``result``."""
@@ -649,7 +644,7 @@ class CompiledNetlist:
             V[self.const1_rows] = ones
             V[self.dff_rows] = state
             _apply_fix(flat, fixes.get(0))
-            for lvl, instrs in levels:
+            for lvl, instrs in self.program_levels:
                 self._run_program(V, instrs, ones)
                 _apply_fix(flat, fixes.get(lvl))
             state = V[self.dff_d_rows]
