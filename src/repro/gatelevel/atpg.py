@@ -213,17 +213,25 @@ def combinational_atpg(
     # observe list cannot see -- the fault is visible whenever the good
     # machine's D-input justifies to the opposite of the stuck value,
     # with no propagation through logic at all.
+    # The same flip-flop's D-input is then seen only through that
+    # route: a difference there is unloaded as the stuck value, so it
+    # counts only where an output or another scan flip-flop reads it.
     scan_obs = None
+    observe = ctx.observe
     if (ctx.op[site] == OP_DFF and ctx.control[site]
             and forced_extra is None):
-        scan_obs = (index[netlist.gate(fault.net).inputs[0]],
-                    1 - fault.stuck_at)
+        d = netlist.gate(fault.net).inputs[0]
+        scan_obs = (index[d], 1 - fault.stuck_at)
+        if d not in netlist.outputs and not any(
+                g.inputs[0] == d and g.name != fault.net
+                for g in netlist.scan_dffs()):
+            observe = observe - {index[d]}
     if backend == "event":
         engine: _ReferenceEngine | _EventEngine = _EventEngine(ctx, {
             index[n]: v for n, v in forced.items() if n in index
-        })
+        }, observe)
     else:
-        engine = _ReferenceEngine(netlist, ctx, forced)
+        engine = _ReferenceEngine(netlist, ctx, forced, observe)
 
     assign: dict[int, int] = {}
     stack: list[list] = []  # [row, value, exhausted]
@@ -343,11 +351,12 @@ class _ReferenceEngine:
     as rows."""
 
     def __init__(self, netlist: Netlist, ctx: _PodemContext,
-                 forced: Mapping[str, int]) -> None:
+                 forced: Mapping[str, int],
+                 observe: frozenset[int]) -> None:
         self.netlist = netlist
         self.ctx = ctx
         self.forced = forced
-        self.observe = [ctx.names[r] for r in ctx.observe]
+        self.observe = [ctx.names[r] for r in observe]
         self._gates = [netlist.gate(n) for n in ctx.names]
         self.good: list[int] = []
 
@@ -472,9 +481,11 @@ class _EventEngine:
     showing a binary good/bad difference.
     """
 
-    def __init__(self, ctx: _PodemContext, forced: dict[int, int]) -> None:
+    def __init__(self, ctx: _PodemContext, forced: dict[int, int],
+                 observe: frozenset[int]) -> None:
         self.ctx = ctx
         self.forced = forced
+        self.observe = observe
         self.fanout = self._fault_fanout()
         self.assign: dict[int, int] = {}
         self.good = list(ctx.good_x)
@@ -571,7 +582,7 @@ class _EventEngine:
         # Frontier gates and differing observation points both lie in
         # the fault's fanout, so nothing outside it needs a recheck.
         ctx = self.ctx
-        fanin, consumers, observe = ctx.fanin, ctx.consumers, ctx.observe
+        fanin, consumers, observe = ctx.fanin, ctx.consumers, self.observe
         good, bad = self.good, self.bad
         fanout = self.fanout
         recheck = set()

@@ -17,7 +17,8 @@ shared SR is low -- the executable form of the test conflicts [20]
 minimises.
 
 Fault coverage runs **fault-parallel** on the compiled kernel by
-default: up to ``SEQ_FAULT_COLUMNS - 1`` faulty machines are packed as
+default: as many faulty machines as the kernel's scratch budget
+(``BATCH_SCRATCH_WORDS``) holds, never fewer than 255, are packed as
 bit columns of one wide state vector (column 0 = golden) and the whole
 session free-runs once per batch
 (:meth:`repro.gatelevel.kernel.CompiledNetlist.sequential_fault_detect`),

@@ -42,6 +42,11 @@ integer-indexed program and evaluates it over numpy ``uint64`` words:
   faulty state.  Both keep each numpy call wide, amortising the
   per-call overhead that would otherwise dominate on per-fault-sized
   arrays (see ``docs/fault_batches.md``).
+* **Bit-column sequential batches** -- BIST attribution
+  (:meth:`CompiledNetlist.sequential_fault_detect`) packs one faulty
+  machine per bit column of the whole design, as many columns as the
+  same :data:`BATCH_SCRATCH_WORDS` budget holds (see
+  ``docs/sequential_fault_sim.md``).
 
 Results are bit-identical to the interpreter (property-tested in
 ``tests/test_kernel_equivalence.py``): stuck-at forcing applies after a
@@ -54,7 +59,8 @@ from __future__ import annotations
 import hashlib
 import pickle
 from collections import OrderedDict
-from typing import Mapping, Sequence
+from contextlib import contextmanager
+from typing import Iterator, Mapping, Sequence
 
 import numpy as _np
 
@@ -89,18 +95,16 @@ def _n_words(width: int) -> int:
 #: the fewest faulty machines a batched pass evaluates side by side
 FAULT_BATCH = 32
 
-#: ``uint64`` words of ``(n_gates, B * n_words)`` scratch that size a
-#: fault batch (1 MiB): a small design gets batches wider than
-#: :data:`FAULT_BATCH`, a large one stays at it
-BATCH_SCRATCH_WORDS = 1 << 17
+#: ``uint64`` words of scratch (4 MiB) that size both batch engines: a
+#: fault batch's ``(n_gates, B * n_words)`` block (a small design gets
+#: batches wider than :data:`FAULT_BATCH`, a large one stays at it) and
+#: a sequential batch's ``(n_gates, n_words)`` bit columns (never
+#: fewer than 4 words)
+BATCH_SCRATCH_WORDS = 1 << 19
 
 #: survivors are repacked at a cycle boundary once the live fault
 #: columns have fallen to this share of the columns the batches hold
 REPACK_LIVE_SHARE = 0.5
-
-#: packed columns per fault-parallel *sequential* pass (column 0 is the
-#: golden machine, so each pass carries ``SEQ_FAULT_COLUMNS - 1`` faults)
-SEQ_FAULT_COLUMNS = 256
 
 #: per-row flip-flop kinds, which are also :meth:`CompiledNetlist.cone`
 #: stop levels: a single capture cycle stops at every flip-flop
@@ -573,6 +577,9 @@ class CompiledNetlist:
         interpreter once per fault with ``forced={fault.net: stuck}``.
         A batch whose columns are all detected stops simulating early;
         larger fault lists are processed in successive batches.
+        ``columns`` defaults to as many ``uint64`` words per row as fit
+        :data:`BATCH_SCRATCH_WORDS` across the design's rows, never
+        fewer than 4 (256 columns).
         """
         marks = sorted({int(c) for c in checkpoints})
         result: dict[Fault, int | None] = {f: None for f in faults}
@@ -585,7 +592,9 @@ class CompiledNetlist:
         obs_pos = _np.array(sorted(pos), dtype=_np.int64)
         if not marks or not known or not len(obs_pos):
             return result
-        per_batch = max(1, int(columns or SEQ_FAULT_COLUMNS) - 1)
+        if not columns:
+            columns = 64 * max(4, BATCH_SCRATCH_WORDS // self.n_gates)
+        per_batch = max(1, int(columns) - 1)
         for start in range(0, len(known), per_batch):
             self._seq_fault_batch(
                 known[start:start + per_batch], pi_values, marks,
@@ -1004,6 +1013,30 @@ def resolve_netlist(digest: str, payload) -> Netlist:
         _BY_HASH.popitem(last=False)
         _HASH_STATS["evictions"] += 1
     return payload
+
+
+@contextmanager
+def lend_netlist(digest: str, netlist: Netlist) -> Iterator[None]:
+    """Hold ``netlist`` in the content-hash registry under ``digest``
+    while the block runs.
+
+    A shard worker forked inside the block starts with the registry as
+    it stands, so :func:`resolve_netlist` hands it this very object,
+    derived memo (compiled program, structural analysis, PODEM context)
+    included, without fetching, unpickling or compiling anything; an
+    in-process fallback resolves to it too.  An entry already under
+    ``digest`` is left alone.  The lent entry goes when the block exits,
+    normally or by an exception, so the registry pins nothing.
+    """
+    if digest in _BY_HASH:
+        yield
+        return
+    _BY_HASH[digest] = netlist
+    try:
+        yield
+    finally:
+        if _BY_HASH.get(digest) is netlist:
+            _BY_HASH.pop(digest, None)
 
 
 def netlist_cache_stats() -> dict[str, int]:

@@ -63,12 +63,20 @@ def shard_map(
     :func:`open_shard`; ``label`` names its chaos checkpoints
     ``<label>:<i>``.  Returns the workers' results in chunk order.
     The dispatch cost and any recovery events land in the flow metrics.
+
+    The netlist is lent to the content-hash registry for the call
+    (:func:`repro.gatelevel.kernel.lend_netlist`), so a worker forked
+    for it starts from the parent's compiled netlist; a warm or spawned
+    worker decodes the published body once.
     """
     from repro.flow import resilience, shm
     from repro.gatelevel import kernel
 
-    digest, blob = kernel.netlist_blob(netlist)
-    with shm.PayloadPlane() as plane:
+    digest = kernel.netlist_hash(netlist)
+    with shm.PayloadPlane() as plane, kernel.lend_netlist(digest, netlist):
+        # An inline plane carries the netlist object itself, so only a
+        # plane that ships bytes needs the pickled body.
+        blob = None if plane.inline else kernel.netlist_blob(netlist)[1]
         net_ref = plane.publish_object(netlist, blob=blob, digest=digest)
         blocks = _publish_faults(plane, netlist, chunks)
         refs = {
@@ -91,8 +99,8 @@ def open_shard(args) -> tuple[str, Netlist, list[Fault], dict, dict]:
     """Worker side of :func:`shard_map`.
 
     Returns ``(digest, netlist, faults, shared, params)``.  A warm
-    worker finds the netlist in its content-hash cache and never reads
-    the shipped body.
+    worker, or one forked during :func:`shard_map`, finds the netlist
+    in its content-hash cache and never reads the shipped body.
     """
     from repro.flow import chaos, shm
     from repro.gatelevel.kernel import resolve_netlist

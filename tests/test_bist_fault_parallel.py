@@ -95,17 +95,17 @@ class TestSequentialFaultDetect:
     @settings(max_examples=10, deadline=None)
     @given(nl=netlists(), data=st.data())
     def test_batch_width_does_not_matter(self, nl, data):
-        """Tiny column budgets (many batches) and the default single
-        batch produce identical detection maps."""
+        """Tiny column budgets (many batches), 256 columns and the
+        default single batch produce identical detection maps."""
         faults = all_faults(nl)
         piv = {pi: data.draw(st.integers(0, 1)) for pi in nl.inputs()}
         observe = [d.name for d in nl.dffs()]
         comp = compiled(nl)
         wide = comp.sequential_fault_detect(faults, piv, [2, 4], observe)
-        narrow = comp.sequential_fault_detect(
-            faults, piv, [2, 4], observe, columns=2
-        )
-        assert wide == narrow
+        for columns in (256, 2):
+            assert comp.sequential_fault_detect(
+                faults, piv, [2, 4], observe, columns=columns
+            ) == wide, columns
 
 
 class TestCoverageEquality:

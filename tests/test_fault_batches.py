@@ -8,7 +8,10 @@ those the batches hold, rebuilds the survivors into fresh batches that
 carry their faulty state (see ``docs/fault_batches.md``).  These tests
 shrink the budget so small designs run several batches, a short tail
 batch and repacks, and check the results against the reference
-interpreter and across shard counts and transports.
+interpreter and across shard counts and transports.  The same budget
+sizes the sequential engine's bit columns
+(``docs/sequential_fault_sim.md``); its tests check the default
+widths on real designs and that the width never changes a result.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ import random
 
 import pytest
 
-from repro.designs import build_dmachine
+from repro.designs import build_dmachine, dmachine_bist
 from repro.flow import shm
-from repro.gatelevel import fault_sim, genscale, kernel
+from repro.gatelevel import bist_session, fault_sim, genscale, kernel
 from repro.gatelevel.fault_sim import _fault_simulate_cycles_interp
 from repro.gatelevel.faults import Fault, all_faults
 from repro.gatelevel.kernel import CompiledNetlist, compiled
@@ -128,3 +131,68 @@ def test_sharded_unknown_net_faults_keep_caller_order(transport,
     for shards in (2, 4):
         assert runs[shards] == runs[1]
         assert list(runs[shards]) == mixed
+
+
+def test_default_budget_sizes_genscale_1k_batches(monkeypatch):
+    """At the default 4 MiB budget a batch of the 1,181-row genscale-1k
+    design holds ``BATCH_SCRATCH_WORDS // 1181`` faults at one word."""
+    assert kernel.BATCH_SCRATCH_WORDS == 1 << 19
+    nl = genscale.generate_netlist(1000, seed=1)
+    k = compiled(nl)
+    assert k.n_gates == 1181
+    log = _BuildLog(monkeypatch, CompiledNetlist)
+    faults = all_faults(nl)
+    seq = genscale.random_patterns(nl, 1, seed=2, width=64)
+    k.fault_simulate_cycles(faults, seq, width=64)
+    per = kernel.BATCH_SCRATCH_WORDS // 1181
+    assert log.rounds[0] == [per] * (len(faults) // per) + [
+        len(faults) % per]
+
+
+@pytest.fixture(scope="module")
+def bist_slice():
+    """The full ``dmachine_bist`` (10,088 rows), session ``u0``, and a
+    500-fault slice that session detects 48 of in 16 cycles."""
+    hw = dmachine_bist()
+    observe = [net for bits in hw.signature_bit_nets().values()
+               for net in bits]
+    return (compiled(hw.netlist), all_faults(hw.netlist)[:500],
+            bist_session.session_configuration(hw, ["u0"]),
+            bist_session._default_checkpoints(16), observe)
+
+
+def test_sequential_budget_packs_bist_slice_in_one_batch(bist_slice,
+                                                         monkeypatch):
+    """The budget gives ``dmachine_bist`` 51 words (3,264 columns) per
+    batch, where a fixed 256 columns took two batches for 500 faults."""
+    k, faults, cfg, marks, observe = bist_slice
+    sizes = []
+    run = CompiledNetlist._seq_fault_batch
+
+    def _seq_fault_batch(prog, batch, *args):
+        sizes.append(len(batch))
+        return run(prog, batch, *args)
+
+    monkeypatch.setattr(CompiledNetlist, "_seq_fault_batch",
+                        _seq_fault_batch)
+    k.sequential_fault_detect(faults, cfg, marks, observe)
+    assert sizes == [500]
+    assert 64 * (kernel.BATCH_SCRATCH_WORDS // k.n_gates) == 3264
+
+
+def test_sequential_width_keeps_bist_attribution(bist_slice):
+    """Default columns, 256 columns and one fault per batch attribute
+    every fault to the same checkpoint."""
+    k, faults, cfg, marks, observe = bist_slice
+    wide = k.sequential_fault_detect(faults, cfg, marks, observe)
+    assert sum(c is not None for c in wide.values()) == 48
+    assert k.sequential_fault_detect(faults, cfg, marks, observe,
+                                     columns=256) == wide
+    # One fault per batch on every detected fault and a few undetected
+    # ones (each narrow batch runs alone, so the whole slice would be
+    # 500 separate free-runs).
+    some = [f for f in faults if wide[f] is not None] + [
+        f for f in faults if wide[f] is None][::30]
+    narrow = k.sequential_fault_detect(some, cfg, marks, observe,
+                                       columns=2)
+    assert narrow == {f: wide[f] for f in some}

@@ -3,7 +3,8 @@ warm-worker caches, ship-once discipline, and error surfacing.
 
 The contract under test (docs/shard_dispatch.md): results are
 byte-identical across ``{pickle, shm} x {1, 2, 4}`` shard configs, the
-parent owns (and always unlinks) every shared-memory segment, a warm
+parent owns (and always unlinks) every shared-memory segment, a worker
+forked for a call starts from the parent's compiled netlist, a warm
 worker unpickles and compiles each distinct netlist once per pool
 generation, and worker exceptions are counted instead of swallowed.
 """
@@ -13,15 +14,24 @@ from __future__ import annotations
 import glob
 import multiprocessing
 import pickle
+import random
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
 
 from repro.flow import shm
 from repro.flow.metrics import collect
-from repro.flow.resilience import run_sharded
+from repro.flow.resilience import (
+    PoolProvider,
+    run_sharded,
+    set_shard_pool_provider,
+)
 from repro.gatelevel import fault_sim, genscale, kernel
 from repro.gatelevel.faults import all_faults
+from repro.gatelevel.shard import open_shard, shard_map
 from repro.knobs import KnobError
 from repro.serve.registry import WarmPoolProvider
 from tests.test_kernel_equivalence import _sequence, netlists
@@ -211,7 +221,10 @@ class TestShipOnce:
         fault_sim.fault_simulate_cycles(
             nl, faults, seq, width=8, shards=2, backend="kernel",
         )
-        assert nl._pickles >= 2  # one full copy per shard arg
+        # One full copy per shard arg, and no blob: an inline plane
+        # never ships the pickled body, so the parent never builds it.
+        assert nl._pickles == 2
+        assert "blob" not in nl.derived()
 
     def test_warm_worker_unpickles_once_per_generation(
         self, monkeypatch, warm_pool
@@ -255,6 +268,155 @@ class TestShipOnce:
             sizes[transport] = custom["payload_bytes"]
         assert sizes["shm"] * 5 <= sizes["pickle"]
         assert _no_repro_segments()
+
+
+# -- shard workers inherit the parent's netlist ----------------------------
+
+def _inherit_probe(args):
+    """A shard worker that reports how it came by its netlist."""
+    before = kernel.netlist_cache_stats()
+    fetched = shm.worker_cache_stats()["object_misses"]
+    _digest, netlist, faults, _shared, _params = open_shard(args)
+    after = kernel.netlist_cache_stats()
+    return {
+        "in_worker": multiprocessing.parent_process() is not None,
+        "hits": after["hits"] - before["hits"],
+        "misses": after["misses"] - before["misses"],
+        "fetched": shm.worker_cache_stats()["object_misses"] - fetched,
+        "compiled": "compiled" in netlist.derived(),
+        "faults": [(f.net, f.stuck_at) for f in faults],
+    }
+
+
+def _failing_probe(args):
+    open_shard(args)
+    raise ValueError("probe shard refused")
+
+
+class _SpawnPools(PoolProvider):
+    """Fresh one-worker pools whose workers start from a new
+    interpreter, not a fork of the parent."""
+
+    def acquire(self, jobs: int) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("spawn"))
+
+
+@pytest.fixture
+def spawn_pools():
+    set_shard_pool_provider(_SpawnPools())
+    yield
+    set_shard_pool_provider(None)
+
+
+def _registry():
+    return [(d, id(nl)) for d, nl in kernel._BY_HASH.items()]
+
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers inherit the registry only through fork")
+
+
+class TestInheritance:
+    @needs_fork
+    @pytest.mark.parametrize("transport", ["shm", "pickle"])
+    def test_forked_worker_starts_from_parent_netlist(
+        self, monkeypatch, transport
+    ):
+        """A worker forked for the call resolves the digest from the
+        registry without a fetch and finds the parent's compiled program
+        in the netlist's memo; the parent's registry is as it was."""
+        monkeypatch.setenv(shm.TRANSPORT_ENV, transport)
+        nl = genscale.generate_netlist(150, seed=21)
+        faults = all_faults(nl)[:8]
+        before = _registry()
+        got = shard_map(_inherit_probe, nl, [faults[:4], faults[4:]],
+                        "probe")
+        assert [r["in_worker"] for r in got] == [True, True]
+        assert [(r["hits"], r["misses"], r["fetched"]) for r in got] \
+            == [(1, 0, 0)] * 2
+        assert [r["compiled"] for r in got] == [True, True]
+        assert [r["faults"] for r in got] == [
+            [(f.net, f.stuck_at) for f in chunk]
+            for chunk in (faults[:4], faults[4:])]
+        assert _registry() == before
+
+    def test_registry_unchanged_when_a_shard_raises(self):
+        nl = genscale.generate_netlist(120, seed=22)
+        faults = all_faults(nl)[:8]
+        before = _registry()
+        with pytest.raises(ValueError, match="probe shard refused"):
+            shard_map(_failing_probe, nl, [faults[:4], faults[4:]],
+                      "probe")
+        assert _registry() == before
+
+    @needs_fork
+    def test_existing_entry_left_alone(self):
+        nl = genscale.generate_netlist(120, seed=23)
+        digest, blob = kernel.netlist_blob(nl)
+        copy = pickle.loads(blob)
+        kernel._BY_HASH[digest] = copy
+        try:
+            got = shard_map(_inherit_probe, nl, [all_faults(nl)[:4]],
+                            "probe")
+            assert got[0]["hits"] == 1
+            assert kernel._BY_HASH[digest] is copy
+        finally:
+            kernel._BY_HASH.pop(digest, None)
+
+    def test_concurrent_lends_leave_registry_clean(self):
+        """Threads lending the same few digests at once (the serve layer
+        runs flows on threads) leave the registry as they found it."""
+        designs = [genscale.generate_netlist(40, seed=s) for s in range(3)]
+        lends = [(kernel.netlist_hash(nl), nl) for nl in designs] + [
+            (kernel.netlist_hash(designs[0]), pickle.loads(
+                pickle.dumps(designs[0])))]
+        before = _registry()
+        errors = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(300):
+                    digest, nl = rng.choice(lends)
+                    with kernel.lend_netlist(digest, nl):
+                        pass
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert _registry() == before
+
+    def test_spawned_worker_decodes_once(self, spawn_pools):
+        """A spawned worker inherits nothing: its first shard decodes
+        the published body (one miss), its second hits, and sharded
+        fault simulation on such pools equals serial."""
+        nl = genscale.generate_netlist(150, seed=24)
+        faults = all_faults(nl)[:32]
+        got = shard_map(_inherit_probe, nl, [faults[:16], faults[16:]],
+                        "probe")
+        assert [r["in_worker"] for r in got] == [True, True]
+        assert [(r["hits"], r["misses"]) for r in got] == [(0, 1), (1, 0)]
+        assert not got[0]["compiled"]
+        seq = _sequence(nl, width=8, n_cycles=2)
+        assert fault_sim.fault_simulate_cycles(
+            nl, faults, seq, width=8, shards=2, backend="kernel",
+        ) == fault_sim.fault_simulate_cycles(
+            nl, faults, seq, width=8, shards=1, backend="kernel",
+        )
 
 
 @pytest.fixture(autouse=True)
