@@ -82,6 +82,26 @@ def _leg_faultsim(arg) -> list[list]:
     ]
 
 
+#: faults a shard holds in the sharded legs of the ``shards`` and
+#: ``transport`` oracles (the ``repro.gatelevel.shard`` test hook): a
+#: fuzzed design fits one kernel pass, so the real rule would run them
+#: serially
+_LEG_FAULTS_PER_SHARD = 16
+
+
+def _leg_sharded_faultsim(arg) -> list[list]:
+    """:func:`_leg_faultsim` with the shard hook set, so the leg
+    dispatches."""
+    from repro.gatelevel import shard
+
+    saved = shard.TEST_FAULTS_PER_SHARD
+    shard.TEST_FAULTS_PER_SHARD = _LEG_FAULTS_PER_SHARD
+    try:
+        return _leg_faultsim(arg)
+    finally:
+        shard.TEST_FAULTS_PER_SHARD = saved
+
+
 def _leg_atpg(arg) -> list[list]:
     """Per-fault PODEM classification (det / unt / abort)."""
     netlist, faults, backtrack_limit, kw = arg
@@ -195,7 +215,7 @@ def _o_backend(netlist, spec, options) -> list[Leg] | None:
 
 def _o_shards(netlist, spec, options) -> list[Leg] | None:
     faults = spec.faults(netlist)
-    if len(faults) < 32:  # below 2*MIN_FAULTS_PER_SHARD nothing shards
+    if len(faults) < 2 * _LEG_FAULTS_PER_SHARD:  # under two full shards
         return None
     seq = spec.patterns(netlist)
     legs = [
@@ -205,7 +225,7 @@ def _o_shards(netlist, spec, options) -> list[Leg] | None:
     for s in options.get("shards", (2,)):
         if s > 1:
             legs.append(Leg(
-                f"shards={s}", _leg_faultsim,
+                f"shards={s}", _leg_sharded_faultsim,
                 (netlist, faults, seq, spec.width,
                  _simkw(shards=s), None),
             ))
@@ -214,14 +234,14 @@ def _o_shards(netlist, spec, options) -> list[Leg] | None:
 
 def _o_transport(netlist, spec, options) -> list[Leg] | None:
     faults = spec.faults(netlist)
-    if len(faults) < 32:
+    if len(faults) < 2 * _LEG_FAULTS_PER_SHARD:  # under two full shards
         return None
     transports = options.get("transports", ("shm", "pickle"))
     if len(transports) < 2:
         return None
     seq = spec.patterns(netlist)
     return [
-        Leg(f"transport={t}", _leg_faultsim,
+        Leg(f"transport={t}", _leg_sharded_faultsim,
             (netlist, faults, seq, spec.width, _simkw(shards=2),
              {"REPRO_SHARD_TRANSPORT": t}))
         for t in transports

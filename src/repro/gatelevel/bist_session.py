@@ -26,8 +26,9 @@ instead of once per fault.  A fault detected in an early session leaves
 the batch for later sessions (cross-session fault dropping).  The
 fault-serial interpreter loop is kept as the equivalence reference
 behind ``backend="interp"`` / ``REPRO_FAULTSIM_BACKEND``; ``shards=`` /
-``REPRO_FAULTSIM_SHARDS`` split the fault list across worker processes
-with a deterministic, byte-identical merge (PR 2/3 conventions).
+``REPRO_FAULTSIM_SHARDS`` split a fault list that needs more than one
+batch (the interpreter: 32 faults or more) across up to that many
+worker processes, with a deterministic, byte-identical merge.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ from repro.gatelevel.gates import Netlist
 from repro.gatelevel.simulate import parallel_simulate
 from repro.hls.datapath import Datapath
 from repro.knobs import resolve
-
-#: below this many faults a process pool costs more than it saves
-MIN_FAULTS_PER_SHARD = 16
 
 
 @dataclass(frozen=True)
@@ -243,8 +241,11 @@ def bist_fault_attribution(
     early session is dropped from every later session's batch.  The
     interpreter backend re-runs the session once per fault (the
     equivalence reference).  ``shards`` (or ``REPRO_FAULTSIM_SHARDS``)
-    splits the fault list across worker processes; fault independence
-    makes the merge byte-identical to a serial run.
+    splits the fault list across up to that many worker processes when
+    every shard runs fewer batches than the serial call
+    (:func:`repro.gatelevel.shard.plan`); a list that fits one batch
+    runs serially, and the interpreter shards from 32 faults.  Fault
+    independence makes the merge byte-identical to a serial run.
 
     ``collapse`` (default on) attributes one representative per
     structural equivalence class and fans the ``(session, checkpoint)``
@@ -252,7 +253,11 @@ def bist_fault_attribution(
     flip-flop and the signature bits are flip-flop states, so
     equivalent faults corrupt every signature identically.
     """
-    from repro.gatelevel.fault_sim import resolve_backend
+    from repro.gatelevel.fault_sim import (
+        INTERP_FAULTS_PER_SHARD,
+        resolve_backend,
+    )
+    from repro.gatelevel.kernel import CompiledNetlist, compiled
     from repro.gatelevel.shard import plan
     from repro.gatelevel.structure import collapse_map, record_collapse_metrics
 
@@ -275,9 +280,10 @@ def bist_fault_attribution(
     marks = (sorted({int(c) for c in checkpoints})
              if checkpoints is not None else _default_checkpoints(cycles))
     backend = resolve_backend(backend)
-    chunks = plan(hardware.netlist, faults,
-                  resolve("REPRO_FAULTSIM_SHARDS", shards),
-                  MIN_FAULTS_PER_SHARD)
+    shards = resolve("REPRO_FAULTSIM_SHARDS", shards)
+    chunks = plan(hardware.netlist, faults, shards,
+                  INTERP_FAULTS_PER_SHARD if backend == "interp"
+                  else CompiledNetlist.seq_fault_columns)
     if chunks:
         return _attribution_sharded(
             hardware, sessions, faults, chunks, marks, backend,
@@ -289,8 +295,6 @@ def bist_fault_attribution(
         f: None for f in faults
     }
     if backend == "kernel":
-        from repro.gatelevel.kernel import compiled
-
         comp = compiled(hardware.netlist)
         observe = [
             net for bits in hardware.signature_bit_nets().values()

@@ -14,8 +14,11 @@ Two engines produce bit-identical results:
 
 Select with ``backend=`` (``"kernel"`` / ``"interp"``) or the
 ``REPRO_FAULTSIM_BACKEND`` environment variable.  ``shards=`` (or
-``REPRO_FAULTSIM_SHARDS``) splits the fault list across worker
-processes; the merged result is byte-identical to a serial run.
+``REPRO_FAULTSIM_SHARDS``) splits the fault list across up to that many
+worker processes, where every shard runs fewer fault batches than the
+serial call would (the interpreter: from 32 faults;
+:func:`repro.gatelevel.shard.plan`); the merged result is
+byte-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from repro.gatelevel.simulate import parallel_simulate
 from repro.gatelevel.structure import collapse_map, record_collapse_metrics
 from repro.knobs import resolve
 
-#: below this many faults a process pool costs more than it saves
-MIN_FAULTS_PER_SHARD = 16
+#: faults one shard of the fault-serial interpreter is worth, in place
+#: of a kernel pass: a list of 32 faults or more shards
+INTERP_FAULTS_PER_SHARD = 31
 
 
 def resolve_backend(backend: str | None = None) -> str:
@@ -117,7 +121,9 @@ def fault_simulate_cycles(
                 shards=shards, collapse=False,
             )
             return cmap.expand(res, list(faults))
-    chunks = plan(netlist, faults, shards, MIN_FAULTS_PER_SHARD)
+    chunks = plan(netlist, faults, shards,
+                  INTERP_FAULTS_PER_SHARD if backend == "interp"
+                  else lambda comp: comp.fault_batch_size(width))
     if chunks:
         return _fault_simulate_sharded(
             netlist, faults, chunks, pi_sequence, width, initial_state,
@@ -203,10 +209,10 @@ def _fault_simulate_sharded(
 
     Dispatch runs on :func:`repro.gatelevel.shard.shard_map`: payloads
     travel over the transport picked by ``REPRO_SHARD_TRANSPORT``, and
-    a shard whose worker crashes or dies is retried once in a fresh
-    pool and then executed in-process, so worker loss degrades
-    throughput, never the result (visible as the ``shard_fallbacks`` /
-    ``shard_pool_rebuilds`` flow metrics).
+    a shard whose worker crashes or dies is retried once (in a fresh
+    pool if the old one broke) and then executed in-process, so worker
+    loss degrades throughput, never the result (visible as the
+    ``shard_fallbacks`` / ``shard_pool_rebuilds`` flow metrics).
     """
     from repro.gatelevel import kernel
     from repro.gatelevel.shard import shard_map

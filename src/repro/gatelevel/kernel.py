@@ -579,7 +579,8 @@ class CompiledNetlist:
         larger fault lists are processed in successive batches.
         ``columns`` defaults to as many ``uint64`` words per row as fit
         :data:`BATCH_SCRATCH_WORDS` across the design's rows, never
-        fewer than 4 (256 columns).
+        fewer than 4 (256 columns); :meth:`seq_fault_columns` is that
+        width's fault count.
         """
         marks = sorted({int(c) for c in checkpoints})
         result: dict[Fault, int | None] = {f: None for f in faults}
@@ -592,15 +593,20 @@ class CompiledNetlist:
         obs_pos = _np.array(sorted(pos), dtype=_np.int64)
         if not marks or not known or not len(obs_pos):
             return result
-        if not columns:
-            columns = 64 * max(4, BATCH_SCRATCH_WORDS // self.n_gates)
-        per_batch = max(1, int(columns) - 1)
+        per_batch = (max(1, int(columns) - 1) if columns
+                     else self.seq_fault_columns())
         for start in range(0, len(known), per_batch):
             self._seq_fault_batch(
                 known[start:start + per_batch], pi_values, marks,
                 obs_pos, result,
             )
         return result
+
+    def seq_fault_columns(self) -> int:
+        """Faults one sequential batch packs by default: ``64 * max(4,
+        BATCH_SCRATCH_WORDS // n_gates)`` bit columns, less column 0
+        (the golden machine)."""
+        return 64 * max(4, BATCH_SCRATCH_WORDS // self.n_gates) - 1
 
     def _seq_fault_batch(self, batch, pi_values, marks, obs_pos,
                          result) -> None:
@@ -728,16 +734,23 @@ class CompiledNetlist:
         words = _np.array([f.stuck_at for f in faults], dtype=_np.uint64)
         return sites, words[:, None] * mask
 
+    def fault_batch_size(self, width: int) -> int:
+        """Faults one fault batch holds at ``width`` patterns: as many
+        ``(n_gates, n_words)`` blocks as fit :data:`BATCH_SCRATCH_WORDS`,
+        never fewer than :data:`FAULT_BATCH`."""
+        return max(FAULT_BATCH,
+                   BATCH_SCRATCH_WORDS // (self.n_gates * _n_words(width)))
+
     def _batches(self, faults, sites, words, state, stop: int, mask):
         """``faults`` as batches from one shared present ``state``, plus
         the flat scratch and tiled mask every batch step runs on.
 
         Sorting by site keeps each batch's union of cones tight, and a
-        batch holds as many faults as fit the scratch budget; one buffer
-        serves every batch, a narrower one as a leading view.
+        batch holds :meth:`fault_batch_size` faults; one buffer serves
+        every batch, a narrower one as a leading view.
         """
         nw = len(mask)
-        per = max(FAULT_BATCH, BATCH_SCRATCH_WORDS // (self.n_gates * nw))
+        per = self.fault_batch_size(64 * nw)
         order = _np.argsort(sites, kind="stable")
         faults = [faults[i] for i in order.tolist()]
         sites, words = sites[order], words[order]

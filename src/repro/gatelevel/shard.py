@@ -2,9 +2,9 @@
 
 Fault simulation, PODEM and BIST attribution split a fault list into
 chunks (:func:`plan`) and run one worker per chunk on
-:func:`repro.flow.resilience.run_sharded` (retry in a fresh pool, then
-in-process).  :func:`shard_map` publishes the netlist, the faults and
-the engine's ``shared`` payloads once on a
+:func:`repro.flow.resilience.run_sharded` (retry, in a fresh pool if
+the old one broke, then in-process).  :func:`shard_map` publishes the
+netlist, the faults and the engine's ``shared`` payloads once on a
 :class:`repro.flow.shm.PayloadPlane` and gives each chunk one small
 argument; the worker's :func:`open_shard` fires the ``<label>:<i>``
 chaos checkpoint and resolves them.  The plane's transport decides
@@ -21,26 +21,52 @@ from repro.gatelevel.faults import Fault
 from repro.gatelevel.gates import Netlist
 
 
+#: Test hook: when set, :func:`plan` deals every engine's faults this
+#: many to a shard in place of the caller's ``per_pass``, so sharded
+#: calls on small designs still take the sharded path.  Read at call
+#: time; ``None`` is the real rule.
+TEST_FAULTS_PER_SHARD: int | None = None
+
+
 def plan(netlist: Netlist, faults: Sequence[Fault], shards: int,
-         minimum: int) -> list[list[Fault]] | None:
+         per_pass: int | Callable[[Any], int]) -> list[list[Fault]] | None:
     """The fault-parallel split of ``faults``, or ``None`` to run
     serially.
 
-    Each shard gets at least ``minimum`` faults (the engine's measure
-    of when a process pool stops costing more than it saves), so
-    fewer than two shards' worth runs serially.  Faults are dealt
-    round-robin in topological-row order: shard *i* gets every
-    *n*-th fault from the *i*-th.  A fault's cost follows the part of
-    the design its cone covers, so dealing gives every shard an even
-    share of each part, where contiguous chunks of the caller's list
-    can differ in cost.  Faults on unknown nets sort first.  Every
-    engine merges by fault, so any partition is exact.
+    ``per_pass`` is how many faults one pass of the engine holds.  A
+    kernel engine gives the sizing method its kernel batches by
+    (:meth:`~repro.gatelevel.kernel.CompiledNetlist.fault_batch_size`
+    at the call's width, or
+    :meth:`~repro.gatelevel.kernel.CompiledNetlist.seq_fault_columns`),
+    which is called on the compiled netlist; an engine with no kernel
+    pass (PODEM, the fault-serial interpreter) gives a fixed count.
+    :data:`TEST_FAULTS_PER_SHARD`, when set, replaces either.  The list
+    splits into ``n = min(shards, ceil(len(faults) / per_pass))`` shards
+    and runs serially when ``n < 2``, so it is split only when every
+    shard runs fewer passes than the serial call would: a list that
+    fits one pass never pays for a pool.  The decision reads only
+    counts, never a timing.  When ``shards > 1`` it is recorded as the
+    ``shards_used`` flow metric (1 when serial).
+
+    Faults are dealt round-robin in topological-row order: shard *i*
+    gets every *n*-th fault from the *i*-th.  A fault's cost follows
+    the part of the design its cone covers, so dealing gives every
+    shard an even share of each part, where contiguous chunks of the
+    caller's list can differ in cost.  Faults on unknown nets sort
+    first.  Every engine merges by fault, so any partition is exact.
     """
-    if shards < 2 or len(faults) < 2 * minimum:
+    if shards < 2:
         return None
+    from repro.flow.metrics import record_metric
     from repro.gatelevel import kernel
 
-    n = min(shards, len(faults) // minimum)
+    per_pass = TEST_FAULTS_PER_SHARD or per_pass
+    if callable(per_pass):
+        per_pass = per_pass(kernel.compiled(netlist))
+    n = min(shards, -(-len(faults) // per_pass))
+    record_metric("shards_used", max(n, 1))
+    if n < 2:
+        return None
     index = kernel.compiled(netlist).index
     ranked = sorted(faults, key=lambda f: (index.get(f.net, -1), f.stuck_at))
     return [ranked[i::n] for i in range(n)]

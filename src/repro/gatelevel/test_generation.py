@@ -51,8 +51,9 @@ from repro.knobs import coerce_int
 
 #: default random patterns simulated before deterministic generation
 DEFAULT_PREDROP = 64
-#: below this many residue faults a process pool costs more than it saves
-MIN_FAULTS_PER_SHARD = 8
+#: PODEM searches one shard is worth, in place of a kernel pass: a
+#: residue of 16 or more faults shards
+SEARCHES_PER_SHARD = 15
 
 
 @dataclass
@@ -217,8 +218,9 @@ def _parallel_podem(
     The planned chunks (:func:`repro.gatelevel.shard.plan`) run on
     :func:`repro.gatelevel.shard.shard_map`: payloads follow
     ``REPRO_SHARD_TRANSPORT``, and a crashed or killed shard is retried
-    once in a fresh pool, then its chunk is searched in-process -- same
-    results, fallback recorded in flow metrics.
+    once (in a fresh pool if the old one broke), then its chunk is
+    searched in-process -- same results, fallback recorded in flow
+    metrics.
     """
     from repro.gatelevel.shard import shard_map
 
@@ -316,7 +318,7 @@ def generate_tests(
         remaining = atpg_fault_order(remaining, structure)
 
     shards = coerce_int(1 if shards is None else shards, "shards", minimum=1)
-    chunks = plan(netlist, remaining, shards, MIN_FAULTS_PER_SHARD)
+    chunks = plan(netlist, remaining, shards, SEARCHES_PER_SHARD)
     searched: dict[Fault, ATPGResult] | None = None
     if chunks:
         searched = _parallel_podem(

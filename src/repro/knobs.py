@@ -91,8 +91,9 @@ KNOBS: dict[str, Knob] = {
     ),
     "REPRO_FAULTSIM_SHARDS": Knob(
         "int", "1",
-        "worker processes for fault-parallel fault simulation and "
-        "BIST fault attribution",
+        "upper bound on worker processes for fault-parallel fault "
+        "simulation and BIST fault attribution (a fault list splits "
+        "only where every shard saves a kernel pass)",
         arg="shards", minimum=1,
     ),
     "REPRO_ATPG_BACKEND": Knob(

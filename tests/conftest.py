@@ -7,6 +7,17 @@ import pytest
 from repro.cdfg import suite
 from repro.cdfg.analysis import critical_path_length
 from repro import hls
+from repro.gatelevel import shard
+from repro.gatelevel.test_generation import SEARCHES_PER_SHARD
+
+
+@pytest.fixture(autouse=True)
+def _shard_small_designs(monkeypatch):
+    """Plan every engine at PODEM's searches per shard (16 faults or
+    more shard), so sharded calls on the suite's small designs still
+    dispatch: under the real rule their faults fit one kernel pass and
+    run serially.  The gate's own tests set the hook back to ``None``."""
+    monkeypatch.setattr(shard, "TEST_FAULTS_PER_SHARD", SEARCHES_PER_SHARD)
 
 
 def synthesize(cdfg, slack: float = 1.6, register_style: str = "left_edge"):

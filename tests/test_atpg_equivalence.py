@@ -157,7 +157,7 @@ class TestShardedGeneration:
 
         seen = []
 
-        def spy(netlist, faults, shards, minimum):
+        def spy(netlist, faults, shards, per_pass):
             seen.append(shards)  # and run serially
 
         monkeypatch.setattr(tg, "plan", spy)

@@ -29,7 +29,7 @@ from repro.flow.resilience import (
     run_sharded,
     set_shard_pool_provider,
 )
-from repro.gatelevel import fault_sim, genscale, kernel
+from repro.gatelevel import fault_sim, genscale, kernel, shard
 from repro.gatelevel.faults import all_faults
 from repro.gatelevel.shard import open_shard, shard_map
 from repro.knobs import KnobError
@@ -197,7 +197,7 @@ class TestShipOnce:
         self, monkeypatch, warm_pool
     ):
         monkeypatch.setenv(shm.TRANSPORT_ENV, "shm")
-        monkeypatch.setattr(fault_sim, "MIN_FAULTS_PER_SHARD", 4)
+        monkeypatch.setattr(shard, "TEST_FAULTS_PER_SHARD", 4)
         nl = genscale.generate_netlist(120, seed=11)
         faults = all_faults(nl)[:16]
         seq = _sequence(nl, width=8, n_cycles=2)
@@ -214,7 +214,7 @@ class TestShipOnce:
 
     def test_pickle_transport_ships_per_shard(self, monkeypatch):
         monkeypatch.setenv(shm.TRANSPORT_ENV, "pickle")
-        monkeypatch.setattr(fault_sim, "MIN_FAULTS_PER_SHARD", 4)
+        monkeypatch.setattr(shard, "TEST_FAULTS_PER_SHARD", 4)
         nl = genscale.generate_netlist(120, seed=11)
         faults = all_faults(nl)[:16]
         seq = _sequence(nl, width=8, n_cycles=2)
@@ -230,7 +230,7 @@ class TestShipOnce:
         self, monkeypatch, warm_pool
     ):
         monkeypatch.setenv(shm.TRANSPORT_ENV, "shm")
-        monkeypatch.setattr(fault_sim, "MIN_FAULTS_PER_SHARD", 4)
+        monkeypatch.setattr(shard, "TEST_FAULTS_PER_SHARD", 4)
         nl = genscale.generate_netlist(150, seed=12)
         faults = all_faults(nl)[:16]
         seq = _sequence(nl, width=8, n_cycles=2)
@@ -253,7 +253,7 @@ class TestShipOnce:
         assert net_stats["entries"] >= 1
 
     def test_shm_payload_refs_are_smaller(self, monkeypatch):
-        monkeypatch.setattr(fault_sim, "MIN_FAULTS_PER_SHARD", 4)
+        monkeypatch.setattr(shard, "TEST_FAULTS_PER_SHARD", 4)
         nl = genscale.generate_netlist(400, seed=13)
         faults = all_faults(nl)[:32]
         seq = _sequence(nl, width=8, n_cycles=2)
@@ -400,16 +400,18 @@ class TestInheritance:
         assert not errors
         assert _registry() == before
 
-    def test_spawned_worker_decodes_once(self, spawn_pools):
-        """A spawned worker inherits nothing: its first shard decodes
-        the published body (one miss), its second hits, and sharded
-        fault simulation on such pools equals serial."""
+    def test_spawned_worker_decodes_once(self, monkeypatch, spawn_pools):
+        """A spawned worker inherits nothing: its first shard fetches
+        and decodes the published body (one miss), its second hits, and
+        sharded fault simulation on such pools equals serial."""
+        monkeypatch.setenv(shm.TRANSPORT_ENV, "shm")
         nl = genscale.generate_netlist(150, seed=24)
         faults = all_faults(nl)[:32]
         got = shard_map(_inherit_probe, nl, [faults[:16], faults[16:]],
                         "probe")
         assert [r["in_worker"] for r in got] == [True, True]
         assert [(r["hits"], r["misses"]) for r in got] == [(0, 1), (1, 0)]
+        assert [r["fetched"] for r in got] == [1, 0]
         assert not got[0]["compiled"]
         seq = _sequence(nl, width=8, n_cycles=2)
         assert fault_sim.fault_simulate_cycles(
@@ -454,8 +456,8 @@ class TestTransportEquivalence:
         if len(faults) < 8:
             return
         seq = _sequence(nl, width=8, n_cycles=3)
-        saved = fault_sim.MIN_FAULTS_PER_SHARD
-        fault_sim.MIN_FAULTS_PER_SHARD = 4
+        saved = shard.TEST_FAULTS_PER_SHARD
+        shard.TEST_FAULTS_PER_SHARD = 4
         got = {}
         try:
             for t in ("pickle", "shm"):
@@ -466,7 +468,7 @@ class TestTransportEquivalence:
                         backend="kernel",
                     )
         finally:
-            fault_sim.MIN_FAULTS_PER_SHARD = saved
+            shard.TEST_FAULTS_PER_SHARD = saved
             os.environ.pop(shm.TRANSPORT_ENV, None)
         serial = fault_sim.fault_simulate_cycles(
             nl, faults, seq, width=8, shards=1, backend="kernel",
