@@ -22,7 +22,13 @@ default: as many faulty machines as the kernel's scratch budget
 bit columns of one wide state vector (column 0 = golden) and the whole
 session free-runs once per batch
 (:meth:`repro.gatelevel.kernel.CompiledNetlist.sequential_fault_detect`),
-instead of once per fault.  A fault detected in an early session leaves
+instead of once per fault.  Each session first screens its remaining
+faults against one memoized fault-free run
+(:meth:`~repro.gatelevel.kernel.CompiledNetlist.screen`): a fault that
+is never activated, or whose effect a golden-constant controlling
+input or mux select blocks on every path, cannot change a signature,
+so it stays undetected without simulation (the flow metric
+``bist_screened``).  A fault detected in an early session leaves
 the batch for later sessions (cross-session fault dropping).  The
 fault-serial interpreter loop is kept as the equivalence reference
 behind ``backend="interp"`` / ``REPRO_FAULTSIM_BACKEND``; ``shards=`` /
@@ -236,9 +242,12 @@ def bist_fault_attribution(
     session/checkpoint whose signatures differ from golden (``None``
     when no session detects it), in the order the faults were given.
 
-    On the kernel backend all remaining faults of a session run as one
-    fault-parallel packed free-run per batch; a fault detected in an
-    early session is dropped from every later session's batch.  The
+    On the kernel backend each session screens its remaining faults
+    (:meth:`~repro.gatelevel.kernel.CompiledNetlist.screen`) and runs
+    the kept ones as one fault-parallel packed free-run per batch; the
+    screened count, summed over sessions, is the flow metric
+    ``bist_screened``.  A fault detected in an early session is
+    dropped from every later session's batch.  The
     interpreter backend re-runs the session once per fault (the
     equivalence reference).  ``shards`` (or ``REPRO_FAULTSIM_SHARDS``)
     splits the fault list across up to that many worker processes when
@@ -253,6 +262,7 @@ def bist_fault_attribution(
     flip-flop and the signature bits are flip-flop states, so
     equivalent faults corrupt every signature identically.
     """
+    from repro.flow.metrics import record_metric
     from repro.gatelevel.fault_sim import (
         INTERP_FAULTS_PER_SHARD,
         resolve_backend,
@@ -301,19 +311,23 @@ def bist_fault_attribution(
             for net in bits
         ]
         remaining = list(faults)
+        screened = 0
         for s, cfg in enumerate(configs):
             if not remaining:
                 break
-            det = comp.sequential_fault_detect(
-                remaining, cfg, marks, observe
-            )
+            # A fault the golden run shows cannot reach a signature bit
+            # stays undetected in this session without simulation.
+            kept = comp.screen(remaining, cfg, marks, observe)
+            screened += len(remaining) - len(kept)
+            det = comp.sequential_fault_detect(kept, cfg, marks, observe)
             still = []
             for f in remaining:
-                if det[f] is None:
+                if det.get(f) is None:
                     still.append(f)
                 else:
                     result[f] = (s, det[f])
             remaining = still
+        record_metric("bist_screened", screened)
         return result
     goldens = [
         run_signatures(hardware, cfg, marks, backend=backend)

@@ -6,9 +6,12 @@ compiles a :class:`~repro.gatelevel.gates.Netlist` **once** into a flat
 integer-indexed program and evaluates it over numpy ``uint64`` words:
 
 * **Levelized instruction stream** — gates are indexed in topological
-  order and grouped by ``(level, opcode)``; one numpy call evaluates
-  every same-kind gate of a level (``V[dst] = V[a] & V[b]``), so the
-  per-gate Python overhead of the interpreter disappears.
+  order and grouped by ``(level, opcode)``, and each level runs as one
+  step (:func:`_run_level`): every operand slot is gathered once for
+  the whole level, each group's op runs in place on its slice of the
+  gathered block, and one scatter writes the level back.  So the
+  per-gate Python overhead of the interpreter disappears, and a level
+  costs a few numpy calls plus one or two per group.
 * **Wide words** — net values are ``(n_words,)`` vectors of ``uint64``,
   simulating ``width = 64 * n_words`` packed patterns per pass instead
   of capping at 64.
@@ -45,8 +48,10 @@ integer-indexed program and evaluates it over numpy ``uint64`` words:
 * **Bit-column sequential batches** -- BIST attribution
   (:meth:`CompiledNetlist.sequential_fault_detect`) packs one faulty
   machine per bit column of the whole design, as many columns as the
-  same :data:`BATCH_SCRATCH_WORDS` budget holds (see
-  ``docs/sequential_fault_sim.md``).
+  same :data:`BATCH_SCRATCH_WORDS` budget holds.  Its caller first
+  drops, exactly, every fault that one memoized fault-free run shows
+  cannot reach an observed flip-flop (:meth:`CompiledNetlist.screen`;
+  see ``docs/sequential_fault_sim.md``).
 
 Results are bit-identical to the interpreter (property-tested in
 ``tests/test_kernel_equivalence.py``): stuck-at forcing applies after a
@@ -60,7 +65,8 @@ import hashlib
 import pickle
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as _np
 
@@ -86,6 +92,8 @@ _OPCODE = {
     "xnor": OP_XNOR, "mux": OP_MUX,
 }
 _MASKED_OPS = frozenset({OP_NOT, OP_NAND, OP_NOR, OP_XNOR})
+#: the input value that fixes a gate's output, whatever its other input
+_CONTROLLING = {OP_AND: 0, OP_NAND: 0, OP_OR: 1, OP_NOR: 1}
 
 
 def _n_words(width: int) -> int:
@@ -117,7 +125,7 @@ class _FaultBatch:
     scratch view, fault *b* in word columns ``b*nw:(b+1)*nw``.
 
     Fault *b* forces gate row ``sites[b]`` to ``words[b]``.  ``levels``
-    is the union-of-cones program grouped by level.  A forcing is a
+    is the union-of-cones program as level steps.  A forcing is a
     pair ``(flat indices, words)`` that writes each fault's words into
     its own columns of a C-ordered array with rows ``size*nw`` words
     wide: ``force`` writes every site into the scratch before the
@@ -137,7 +145,7 @@ class _FaultBatch:
         self.words = words            # (size, nw) forced words
         self.size = len(faults)
         self.alive = _np.ones(self.size, dtype=bool)
-        self.levels = levels          # [(instructions, forcing or None)]
+        self.levels = levels          # [(_Level, forcing or None)]
         self.force = force            # every site, into the scratch
         self.force_state = force_state  # flip-flop sites, into bnxt
         self.obs_out = obs_out        # union observation: output rows
@@ -199,6 +207,78 @@ def _apply_fix(flat, fix) -> None:
     if fix is not None:
         keys, keep, put = fix
         flat[keys] = flat[keys] & keep | put
+
+
+class _Level(NamedTuple):
+    """One level's kept instructions as a single evaluation step.
+
+    ``dst`` and ``a`` are the level's rows and first operands, group
+    after group in program order; ``b`` covers the rows from the first
+    binary group on and ``c`` those from the first mux (``None`` when
+    the level has none).  ``groups`` holds each group's ``(opcode,
+    a-slice, b-slice, c-slice)``, the slices cutting the gathered
+    operand blocks.
+    """
+
+    level: int
+    dst: object
+    a: object
+    b: object
+    c: object
+    groups: list
+
+
+def _level_step(lvl: int, flat, groups) -> _Level:
+    """The :class:`_Level` of ``groups``, ``[(opcode, start, end)]``
+    positions into the kept ``flat = [dst, a, b, c]`` arrays."""
+    lo, hi = groups[0][1], groups[-1][2]
+    # Opcodes ascend within a level, so the binary groups and then the
+    # muxes are suffixes of it.
+    nb = next((s for op, s, _e in groups if op >= OP_AND), hi)
+    nc = next((s for op, s, _e in groups if op == OP_MUX), hi)
+    dst, a, b, c = flat
+    return _Level(
+        lvl, dst[lo:hi], a[lo:hi],
+        b[nb:hi] if nb < hi else None, c[nc:hi] if nc < hi else None,
+        [(op, slice(s - lo, e - lo), slice(s - nb, e - nb),
+          slice(s - nc, e - nc)) for op, s, e in groups],
+    )
+
+
+_BINARY = {OP_AND: _np.bitwise_and, OP_NAND: _np.bitwise_and,
+           OP_OR: _np.bitwise_or, OP_NOR: _np.bitwise_or,
+           OP_XOR: _np.bitwise_xor, OP_XNOR: _np.bitwise_xor}
+
+
+def _run_level(V, step: _Level, mask) -> None:
+    """Evaluate one level of ``V`` in place.
+
+    Each operand slot is gathered once; every group's op then runs in
+    place on its slice of the first operand's block, which one scatter
+    writes back.  Operands never hold bits outside ``mask``, so an
+    inverting op XORs the mask, a BUF row needs no op at all (the
+    gather holds its value) and a mux is ``c ^ (s & (b ^ c))``.
+    """
+    _lvl, dst, a, b, c, groups = step
+    A = V.take(a, axis=0)
+    B = V.take(b, axis=0) if b is not None else None
+    C = V.take(c, axis=0) if c is not None else None
+    xor = _np.bitwise_xor
+    for op, sa, sb, sc in groups:
+        if op == OP_BUF:
+            continue
+        x = A[sa]
+        if op == OP_MUX:
+            y, z = B[sb], C[sc]
+            xor(y, z, y)
+            _np.bitwise_and(x, y, x)
+            xor(x, z, x)
+            continue
+        if op >= OP_AND:
+            _BINARY[op](x, B[sb], x)
+        if op in _MASKED_OPS:
+            xor(x, mask, x)
+    V[dst] = A
 
 
 class CompiledNetlist:
@@ -277,7 +357,7 @@ class CompiledNetlist:
             self.program.append((op, dst, a, b, c))
         (self.program, self._row_flat, self._flat_group, self._flat,
          self._group_level) = _group_index(self.program, level)
-        #: the whole program as ``[(level, [instructions])]``
+        #: the whole program as one :class:`_Level` step per level
         self.program_levels = self._kept_levels(range(n))
 
         # Fanout adjacency (a DFF "consumes" its D input, which folds
@@ -292,6 +372,8 @@ class CompiledNetlist:
         self._ff_kind = bytearray(n)
         for row, scan in zip(dff_rows, scan_flags):
             self._ff_kind[row] = FF_SCAN if scan else FF_ANY
+        # (pin values, cycles) -> golden constants (see :meth:`screen`)
+        self._golden: dict[tuple, list[int]] = {}
 
     # ------------------------------------------------------------------
     # word packing
@@ -362,28 +444,6 @@ class CompiledNetlist:
     # ------------------------------------------------------------------
     # evaluation
 
-    def _run_program(self, V, program, mask) -> None:
-        for op, dst, a, b, c in program:
-            if op == OP_BUF:
-                V[dst] = V[a]
-            elif op == OP_NOT:
-                V[dst] = ~V[a] & mask
-            elif op == OP_AND:
-                V[dst] = V[a] & V[b]
-            elif op == OP_OR:
-                V[dst] = V[a] | V[b]
-            elif op == OP_NAND:
-                V[dst] = ~(V[a] & V[b]) & mask
-            elif op == OP_NOR:
-                V[dst] = ~(V[a] | V[b]) & mask
-            elif op == OP_XOR:
-                V[dst] = V[a] ^ V[b]
-            elif op == OP_XNOR:
-                V[dst] = ~(V[a] ^ V[b]) & mask
-            else:  # OP_MUX: (s & a) | (~s & b); operands stay masked
-                s = V[a]
-                V[dst] = (s & V[b]) | (~s & V[c])
-
     def good_cycle(self, pi_words, state_words, width: int,
                    forced: Mapping[int, object] | None = None):
         """Full evaluation of one cycle; returns ``(V, next_state)``.
@@ -410,9 +470,9 @@ class CompiledNetlist:
                 V[row] = words
         # A level reads only lower levels, so a forced net is applied
         # once, after its own level has run.
-        for lvl, instrs in self.program_levels:
-            self._run_program(V, instrs, mask)
-            for row, words in by_level.get(lvl, ()):
+        for step in self.program_levels:
+            _run_level(V, step, mask)
+            for row, words in by_level.get(step.level, ()):
                 V[row] = words
         nxt = V[self.dff_d_rows].copy() if len(self.dff_rows) else (
             _np.zeros((0, _n_words(width)), dtype=_np.uint64)
@@ -448,14 +508,14 @@ class CompiledNetlist:
                         stack.append(k)
         return seen
 
-    def _kept_levels(self, rows) -> list[tuple[int, list]]:
-        """:attr:`program` restricted to the gates in ``rows``, as
-        ``[(level, [instructions])]`` in program order.
+    def _kept_levels(self, rows) -> list[_Level]:
+        """:attr:`program` restricted to the gates in ``rows``, as one
+        :class:`_Level` step per level, in program order.
 
         Each row's position in the concatenated program comes from the
         compile-time map, so one sort and one gather per operand cut
         every kept instruction at once; the cost follows ``len(rows)``,
-        not the program.  A group kept whole is reused as is.
+        not the program.
         """
         at = self._row_flat[
             _np.fromiter(rows, dtype=_np.int64, count=len(rows))
@@ -465,21 +525,14 @@ class CompiledNetlist:
             return []
         grp = self._flat_group[at]
         cut = (_np.flatnonzero(grp[1:] != grp[:-1]) + 1).tolist()
-        dst, a, b, c = (arr[at] for arr in self._flat)
-        levels: list[tuple[int, list]] = []
+        flat = [arr[at] for arr in self._flat]
+        by_level: dict[int, list] = {}
         for g, s, e in zip(grp[[0] + cut].tolist(), [0] + cut,
                            cut + [len(at)]):
-            instr = self.program[g]
-            op = instr[0]
-            if e - s < len(instr[1]):
-                instr = (op, dst[s:e], a[s:e],
-                         b[s:e] if op >= OP_AND else None,
-                         c[s:e] if op == OP_MUX else None)
-            lvl = self._group_level[g]
-            if not levels or levels[-1][0] != lvl:
-                levels.append((lvl, []))
-            levels[-1][1].append(instr)
-        return levels
+            by_level.setdefault(self._group_level[g], []).append(
+                (self.program[g][0], s, e))
+        return [_level_step(lvl, flat, groups)
+                for lvl, groups in by_level.items()]
 
     def _observed(self, rows):
         """``(output rows, scan-DFF positions)`` that lie in ``rows``,
@@ -576,7 +629,9 @@ class CompiledNetlist:
         no checkpoint shows a difference), bit-identical to running the
         interpreter once per fault with ``forced={fault.net: stuck}``.
         A batch whose columns are all detected stops simulating early;
-        larger fault lists are processed in successive batches.
+        larger fault lists are processed in successive batches.  Every
+        fault given is simulated: :meth:`screen` is the exact filter a
+        caller runs first, and tests hold it against this engine.
         ``columns`` defaults to as many ``uint64`` words per row as fit
         :data:`BATCH_SCRATCH_WORDS` across the design's rows, never
         fewer than 4 (256 columns); :meth:`seq_fault_columns` is that
@@ -608,21 +663,117 @@ class CompiledNetlist:
         (the golden machine)."""
         return 64 * max(4, BATCH_SCRATCH_WORDS // self.n_gates) - 1
 
+    def screen(
+        self,
+        faults: Sequence[Fault],
+        pi_values: Mapping[str, int],
+        checkpoints: Sequence[int],
+        observe: Sequence[str],
+    ) -> list[Fault]:
+        """The faults of ``faults`` that may change an ``observe``
+        flip-flop in the free-run :meth:`sequential_fault_detect` makes
+        of the same arguments; it reports every other fault ``None``,
+        so simulating only these is exact.
+
+        One fault-free run (:meth:`_golden_constants`) says which rows
+        hold one value throughout.  A fault is kept only if it is
+        activated -- its net leaves the stuck value in some cycle --
+        and its may-differ set reaches an observed flip-flop.  The set
+        starts at the site and closes under fanout, flip-flops
+        included, except through an AND/NAND (OR/NOR) with an input
+        outside the set that is golden-constant 0 (1), and through a mux
+        data input that a golden-constant select outside the set never
+        picks.  A row outside the set equals golden in every cycle, by
+        induction over cycles and evaluation order: its inputs outside
+        the set equal golden, and a blocking input holds the golden
+        output.  So no signature bit outside the set ever differs.
+        """
+        marks = [int(c) for c in checkpoints]
+        obs = {row for row in map(self.index.get, observe)
+               if row in self.dff_pos}
+        if not marks or not obs:
+            return []
+        const = self._golden_constants(pi_values, max(marks))
+        kept = []
+        for f in faults:
+            site = self.index.get(f.net)
+            if (site is not None and const[site] != f.stuck_at
+                    and self._may_reach(site, const, obs)):
+                kept.append(f)
+        return kept
+
+    def _may_reach(self, site: int, const: list[int],
+                   obs: set[int]) -> bool:
+        """Whether the may-differ set of a fault at row ``site`` (see
+        :meth:`screen`) meets ``obs``; ``const`` holds each row's golden
+        constant (-1: it toggles)."""
+        ops, fanin = self._gate_lists
+        consumers = self._consumers
+        seen, stack = {site}, [site]
+        while stack:
+            row = stack.pop()
+            if row in obs:
+                return True
+            for g in consumers[row]:
+                if g in seen:
+                    continue
+                ctl = _CONTROLLING.get(ops[g])
+                if ctl is not None:
+                    if any(x not in seen and const[x] == ctl
+                           for x in fanin[g][:2]):
+                        continue
+                elif ops[g] == OP_MUX:
+                    sel, one, zero = fanin[g]
+                    pick = const[sel]
+                    if (sel not in seen and pick >= 0
+                            and (one if pick else zero) not in seen):
+                        continue
+                seen.add(g)
+                stack.append(g)
+        return False
+
+    @cached_property
+    def _gate_lists(self) -> tuple[list[int], list[list[int]]]:
+        """Each row's opcode and fanin rows as lists, the form
+        :meth:`_may_reach` walks fastest."""
+        return self.opcode.tolist(), self.fanin.tolist()
+
+    def _golden_constants(self, pi_values: Mapping[str, int],
+                          cycles: int) -> list[int]:
+        """Each row's fault-free value under constant ``pi_values``
+        from the all-zero state: 0 or 1 when the row holds it in every
+        one of ``cycles + 1`` cycles (so flip-flop rows cover every
+        state up to the last checkpoint), -1 when it toggles.  Run once
+        at width 1 and kept per ``(pin values, cycles)``."""
+        pw = self._pi_matrix(pi_values, 1)
+        key = (pw.tobytes(), cycles)
+        const = self._golden.get(key)
+        if const is None:
+            state = self._state_matrix(None, 1)
+            hi = _np.zeros(self.n_gates, dtype=_np.uint64)
+            lo = _np.ones(self.n_gates, dtype=_np.uint64)
+            for _ in range(cycles + 1):
+                V, state = self.good_cycle(pw, state, 1)
+                hi |= V[:, 0]
+                lo &= V[:, 0]
+            const = self._golden[key] = _np.where(
+                lo == 1, 1, _np.where(hi == 0, 0, -1)).tolist()
+        return const
+
     def _seq_fault_batch(self, batch, pi_values, marks, obs_pos,
                          result) -> None:
         """One packed free-run: golden in column 0, fault *b* in column
         ``b + 1``; first-detection checkpoints land in ``result``."""
         nbits = len(batch) + 1
         nw = _n_words(nbits)
-        all1 = _np.uint64(0xFFFFFFFFFFFFFFFF)
-        ones = _np.full(nw, all1)
+        mask = self._mask_words(nbits)
 
         # Broadcast packing: every column runs the same session, so a
-        # pin held at 1 is all-ones across the whole word vector.
+        # pin held at 1 is set in every column.
         pw = _np.zeros((len(self.input_names), nw), dtype=_np.uint64)
         for k, name in enumerate(self.input_names):
             if pi_values.get(name, 0) & 1:
-                pw[k] = ones
+                pw[k] = mask
         state = _np.zeros((len(self.dff_names), nw), dtype=_np.uint64)
 
         # Column fixes: fault b's column of its net is re-set to the
@@ -648,6 +799,8 @@ class CompiledNetlist:
         at = pos >= 0
         state_fix = _masked_fix(pos[at] * nw + word[at], bits[at], put[at])
 
+        steps = [(step, fixes.get(step.level))
+                 for step in self.program_levels]
         alive = (1 << nbits) - 2  # columns 1..len(batch)
         V = _np.zeros((self.n_gates, nw), dtype=_np.uint64)
         flat = V.reshape(-1)
@@ -656,20 +809,21 @@ class CompiledNetlist:
             # Every row is rewritten each cycle but the constant-0 ones,
             # which only their own fixes touch (idempotently).
             V[self.input_rows] = pw
-            V[self.const1_rows] = ones
+            V[self.const1_rows] = mask
             V[self.dff_rows] = state
             _apply_fix(flat, fixes.get(0))
-            for lvl, instrs in self.program_levels:
-                self._run_program(V, instrs, ones)
-                _apply_fix(flat, fixes.get(lvl))
+            for step, fix in steps:
+                _run_level(V, step, mask)
+                if fix is not None:
+                    _apply_fix(flat, fix)
             state = V[self.dff_d_rows]
             _apply_fix(state.reshape(-1), state_fix)
             if cycle in mark_set:
                 S = state[obs_pos]
                 golden = (S[:, 0] & _np.uint64(1)).astype(bool)
-                bcast = _np.where(golden, all1, _np.uint64(0))
                 diff = _np.bitwise_or.reduce(
-                    S ^ bcast[:, None], axis=0
+                    S ^ _np.where(golden[:, None], mask, _np.uint64(0)),
+                    axis=0,
                 )
                 hits = self.int_from_words(diff) & alive
                 if hits:
@@ -799,8 +953,8 @@ class CompiledNetlist:
                 dff_blocks.append(blk)
         fixes = {lvl: (at[blks].ravel(), words[blks].ravel())
                  for lvl, blks in by_level.items()}
-        levels = [(instrs, fixes.get(lvl))
-                  for lvl, instrs in self._kept_levels(seen)]
+        levels = [(step, fixes.get(step.level))
+                  for step in self._kept_levels(seen)]
         obs_out, obs_scan = self._observed(seen)
         # A flip-flop site captures its forced words as next state.
         at_state = _np.array(
@@ -837,8 +991,9 @@ class CompiledNetlist:
         VS[self.dff_rows] = batch.state
         flat = VS.reshape(-1)
         flat[batch.force[0]] = batch.force[1]
-        for instrs, fix in batch.levels:
-            self._run_program(VS, instrs, mask_b[:cols])
+        mask = mask_b[:cols]
+        for step, fix in batch.levels:
+            _run_level(VS, step, mask)
             if fix is not None:
                 flat[fix[0]] = fix[1]
         bnxt = VS[self.dff_d_rows]

@@ -84,8 +84,7 @@ def dmachine(request):
 
 
 def _batch_rows(batch) -> list[int]:
-    return [int(r) for instrs, _fix in batch.levels
-            for _op, dst, *_ in instrs for r in dst]
+    return [int(r) for step, _fix in batch.levels for r in step.dst]
 
 
 def test_cone_rows_match_bfs_stopping_at_every_flip_flop(dmachine):
