@@ -19,6 +19,9 @@ Entries are pickled atomically (temp file + rename) so concurrent
 writers -- parallel stages, or two runs racing -- can only ever publish
 complete entries.  Unpicklable artifacts degrade gracefully: the stage
 result stays in memory for the current run and the entry is skipped.
+Encoding and decoding an entry (:func:`encode_entry`,
+:func:`decode_entry`) are separate from the file I/O, so a layer in
+front of the store can keep the very bytes it writes or reads.
 
 One :class:`FlowCache` instance may be shared by concurrent threads
 (the service layer runs many flows against a single store): every
@@ -112,6 +115,34 @@ def artifact_digest(producer_key: str, artifact: str) -> str:
     return _sha(f"{producer_key}/{artifact}")
 
 
+def encode_entry(stage_name: str,
+                 artifacts: Mapping[str, Any]) -> bytes | None:
+    """The pickled bytes of one cache entry (None if unpicklable)."""
+    entry = {
+        "format": _FORMAT,
+        "stage": stage_name,
+        "artifacts": dict(artifacts),
+    }
+    try:
+        return pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return None
+
+
+def decode_entry(blob: bytes) -> dict[str, Any] | None:
+    """The artifacts held by an entry's bytes; None when the bytes do
+    not unpickle or fail validation (a corrupt entry)."""
+    try:
+        entry = pickle.loads(blob)
+    except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+            IndexError, KeyError, MemoryError, TypeError, ValueError):
+        return None
+    if not isinstance(entry, dict) or entry.get("format") != _FORMAT:
+        return None
+    artifacts = entry.get("artifacts")
+    return artifacts if isinstance(artifacts, dict) else None
+
+
 class FlowCache:
     """Pickle-backed stage-result store under a cache directory."""
 
@@ -137,31 +168,23 @@ class FlowCache:
         return self.root / key[:2] / f"{key}.pkl"
 
     @staticmethod
-    def _load_entry(path: Path) -> tuple[dict[str, Any] | None, bool]:
-        """``(artifacts, corrupt)`` for one entry file.
+    def _load_entry(path: Path) -> tuple[dict[str, Any] | None,
+                                         bytes | None, bool]:
+        """``(artifacts, entry bytes, corrupt)`` for one entry file.
 
-        A missing file is a plain miss (``(None, False)``); a file that
-        exists but cannot be loaded or fails validation is corrupt.
+        A missing file is a plain miss (``(None, None, False)``); a file
+        that exists but cannot be read, loaded or validated is corrupt.
         """
         try:
-            fh = open(path, "rb")
+            blob = path.read_bytes()
         except FileNotFoundError:
-            return None, False
+            return None, None, False
         except OSError:
-            return None, True
-        try:
-            with fh:
-                entry = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, KeyError, MemoryError, TypeError,
-                ValueError):
-            return None, True
-        if not isinstance(entry, dict) or entry.get("format") != _FORMAT:
-            return None, True
-        artifacts = entry.get("artifacts")
-        if not isinstance(artifacts, dict):
-            return None, True
-        return artifacts, False
+            return None, None, True
+        artifacts = decode_entry(blob)
+        if artifacts is None:
+            return None, None, True
+        return artifacts, blob, False
 
     def _quarantine(self, path: Path) -> Path | None:
         """Move a corrupt entry aside so it is never re-read.
@@ -190,14 +213,18 @@ class FlowCache:
         a clean miss that recomputes and rewrites it) and counted in
         ``corrupt_quarantined``.
         """
+        return self._fetch(key)[0]
+
+    def _fetch(self, key: str) -> tuple[dict[str, Any] | None,
+                                        bytes | None]:
+        """``(artifacts, entry bytes)`` for ``key``, as :meth:`get`."""
         with self._lock:
             path = self._path(key)
-            artifacts, corrupt = self._load_entry(path)
+            artifacts, blob, corrupt = self._load_entry(path)
             if corrupt:
                 self._quarantine(path)
                 self.corrupt_quarantined += 1
-                return None
-            return artifacts
+            return artifacts, blob
 
     def size(self, key: str) -> int:
         """On-disk size of the entry for ``key`` (0 if absent)."""
@@ -209,15 +236,12 @@ class FlowCache:
     def put(self, key: str, stage_name: str,
             artifacts: Mapping[str, Any]) -> int:
         """Persist artifacts; returns bytes written (-1 if unpicklable)."""
-        entry = {
-            "format": _FORMAT,
-            "stage": stage_name,
-            "artifacts": dict(artifacts),
-        }
-        try:
-            blob = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return -1
+        blob = encode_entry(stage_name, artifacts)
+        return -1 if blob is None else self._write(key, blob)
+
+    def _write(self, key: str, blob: bytes) -> int:
+        """Publish an entry's bytes atomically; ``len(blob)``, or -1 when
+        the store cannot be written."""
         with self._lock:
             path = self._path(key)
             try:
@@ -274,7 +298,7 @@ class FlowCache:
             if not self.root.exists():
                 return report
             for path in sorted(self.root.rglob("*.pkl")):
-                _, corrupt = self._load_entry(path)
+                corrupt = self._load_entry(path)[2]
                 if not corrupt:
                     report["ok"] += 1
                     continue

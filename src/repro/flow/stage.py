@@ -66,8 +66,10 @@ def module_fingerprint(dotted: str) -> str:
     return _sha("\n".join(chunks))
 
 
+@lru_cache(maxsize=None)
 def function_fingerprint(fn: Callable[..., Any]) -> str:
-    """Stable hash of a function's own source (bytecode fallback)."""
+    """Stable hash of a function's own source (bytecode fallback),
+    memoised per function object like :func:`module_fingerprint`."""
     try:
         return _sha(inspect.getsource(fn))
     except (OSError, TypeError):

@@ -242,16 +242,20 @@ def bist_fault_attribution(
     session/checkpoint whose signatures differ from golden (``None``
     when no session detects it), in the order the faults were given.
 
-    On the kernel backend each session screens its remaining faults
-    (:meth:`~repro.gatelevel.kernel.CompiledNetlist.screen`) and runs
-    the kept ones as one fault-parallel packed free-run per batch; the
-    screened count, summed over sessions, is the flow metric
-    ``bist_screened``.  A fault detected in an early session is
+    On the kernel backend every session first screens the faults
+    (:meth:`~repro.gatelevel.kernel.CompiledNetlist.screen`); a fault
+    no session keeps is reported ``None`` without simulation, and each
+    session runs its kept, still-undetected faults as one
+    fault-parallel packed free-run per batch.  The faults a session
+    screens out while still undetected, summed over sessions, are the
+    flow metric ``bist_screened``, recorded by the caller's process
+    for sharded calls too.  A fault detected in an early session is
     dropped from every later session's batch.  The
     interpreter backend re-runs the session once per fault (the
     equivalence reference).  ``shards`` (or ``REPRO_FAULTSIM_SHARDS``)
-    splits the fault list across up to that many worker processes when
-    every shard runs fewer batches than the serial call
+    splits the faults to simulate (on the kernel, the kept ones)
+    across up to that many worker processes when every shard runs
+    fewer batches than the serial call
     (:func:`repro.gatelevel.shard.plan`); a list that fits one batch
     runs serially, and the interpreter shards from 32 faults.  Fault
     independence makes the merge byte-identical to a serial run.
@@ -291,44 +295,58 @@ def bist_fault_attribution(
              if checkpoints is not None else _default_checkpoints(cycles))
     backend = resolve_backend(backend)
     shards = resolve("REPRO_FAULTSIM_SHARDS", shards)
-    chunks = plan(hardware.netlist, faults, shards,
-                  INTERP_FAULTS_PER_SHARD if backend == "interp"
-                  else CompiledNetlist.seq_fault_columns)
-    if chunks:
-        return _attribution_sharded(
-            hardware, sessions, faults, chunks, marks, backend,
-        )
     configs = [
         session_configuration(hardware, units) for units in sessions
     ]
-    result: dict[Fault, tuple[int, int] | None] = {
-        f: None for f in faults
-    }
     if backend == "kernel":
         comp = compiled(hardware.netlist)
         observe = [
             net for bits in hardware.signature_bit_nets().values()
             for net in bits
         ]
-        remaining = list(faults)
-        screened = 0
-        for s, cfg in enumerate(configs):
-            if not remaining:
-                break
-            # A fault the golden run shows cannot reach a signature bit
-            # stays undetected in this session without simulation.
-            kept = comp.screen(remaining, cfg, marks, observe)
-            screened += len(remaining) - len(kept)
-            det = comp.sequential_fault_detect(kept, cfg, marks, observe)
-            still = []
-            for f in remaining:
-                if det.get(f) is None:
-                    still.append(f)
-                else:
-                    result[f] = (s, det[f])
-            remaining = still
-        record_metric("bist_screened", screened)
+        # A fault a session's golden run shows cannot reach a signature
+        # bit stays undetected in that session without simulation; only
+        # faults some session keeps are planned and simulated.  Forked
+        # shard workers inherit the golden runs.
+        keeps = [set(comp.screen(faults, cfg, marks, observe))
+                 for cfg in configs]
+        kept = set().union(*keeps)
+        live = [f for f in faults if f in kept]
+        chunks = plan(hardware.netlist, live, shards,
+                      CompiledNetlist.seq_fault_columns)
+        if chunks:
+            found = _attribution_sharded(
+                hardware, sessions, live, chunks, marks, backend,
+            )
+        else:
+            found = {}
+            remaining = live
+            for s, (cfg, keep) in enumerate(zip(configs, keeps)):
+                if not remaining:
+                    break
+                det = comp.sequential_fault_detect(
+                    [f for f in remaining if f in keep], cfg, marks,
+                    observe)
+                found.update((f, (s, c)) for f, c in det.items()
+                             if c is not None)
+                remaining = [f for f in remaining if f not in found]
+        result = dict.fromkeys(faults)
+        result.update(found)
+        # Session s screened every fault still undetected when it ran
+        # that it did not keep.
+        record_metric("bist_screened", sum(
+            1 for s, keep in enumerate(keeps) for f in faults
+            if f not in keep and (result[f] is None or result[f][0] >= s)
+        ))
         return result
+    chunks = plan(hardware.netlist, faults, shards, INTERP_FAULTS_PER_SHARD)
+    if chunks:
+        return _attribution_sharded(
+            hardware, sessions, faults, chunks, marks, backend,
+        )
+    result: dict[Fault, tuple[int, int] | None] = {
+        f: None for f in faults
+    }
     goldens = [
         run_signatures(hardware, cfg, marks, backend=backend)
         for cfg in configs

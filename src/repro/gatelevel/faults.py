@@ -32,16 +32,23 @@ class Fault:
 
 
 def all_faults(netlist: Netlist, include_dffs: bool = True) -> list[Fault]:
-    """Both polarities on every gate/input/DFF output net."""
-    out: list[Fault] = []
-    for gate in netlist:
-        if gate.kind == "dff" and not include_dffs:
-            continue
-        if gate.kind in ("const0", "const1"):
-            continue  # a stuck constant is either redundant or itself
-        out.append(Fault(gate.name, 0))
-        out.append(Fault(gate.name, 1))
-    return sorted(out)
+    """Both polarities on every gate/input/DFF output net, sorted
+    (cached per ``include_dffs`` in the netlist's
+    :meth:`~repro.gatelevel.gates.Netlist.derived` memo; the caller gets
+    its own copy)."""
+    memo = netlist.derived()
+    key = f"all_faults:{int(include_dffs)}"
+    if key not in memo:
+        out: list[Fault] = []
+        for gate in netlist:
+            if gate.kind == "dff" and not include_dffs:
+                continue
+            if gate.kind in ("const0", "const1"):
+                continue  # a stuck constant is either redundant or itself
+            out.append(Fault(gate.name, 0))
+            out.append(Fault(gate.name, 1))
+        memo[key] = sorted(out)
+    return list(memo[key])
 
 
 def coverage(detected: int, total: int) -> float:

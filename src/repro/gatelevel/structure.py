@@ -508,7 +508,9 @@ def structural_analysis(netlist: Netlist) -> Structure:
     :meth:`~repro.gatelevel.gates.Netlist.derived` memo and in a
     process-wide content-hash LRU, so equal-content netlists arriving
     in a warm worker -- or republished by the serve layer -- are
-    analysed exactly once per process.
+    analysed exactly once per process.  It reuses a collapse map the
+    netlist already holds (:func:`collapse_map`) and adds SCOAP;
+    afterwards ``collapse_map(netlist)`` is its ``collapse``.
     """
     from repro.flow import shm
     from repro.gatelevel.kernel import netlist_hash
@@ -525,7 +527,7 @@ def structural_analysis(netlist: Netlist) -> Structure:
         _STATS["hash_hits"] += 1
     else:
         struct = Structure(digest, *_scoap_numpy(netlist),
-                           _build_collapse_map(netlist))
+                           collapse_map(netlist))
         _STATS["built"] += 1
         _STRUCT_BY_HASH[digest] = struct
         while len(_STRUCT_BY_HASH) > shm.WORKER_CACHE_SIZE:
@@ -536,8 +538,22 @@ def structural_analysis(netlist: Netlist) -> Structure:
 
 
 def collapse_map(netlist: Netlist) -> CollapseMap:
-    """The netlist's cached :class:`CollapseMap`."""
-    return structural_analysis(netlist).collapse
+    """The netlist's cached :class:`CollapseMap`.
+
+    Kept in the netlist's derived memo under its own entry, so a
+    caller that only collapses (random-pattern coverage, fault
+    simulation, BIST attribution) never builds SCOAP.  On a netlist
+    that already has a :func:`structural_analysis` the map is that
+    analysis' ``collapse``, fetched through it so the analysis-cache
+    counters (:func:`structure_stats`) see the reuse.
+    """
+    memo = netlist.derived()
+    if "structure" in memo:
+        return structural_analysis(netlist).collapse
+    cmap = memo.get("collapse")
+    if cmap is None:
+        cmap = memo["collapse"] = _build_collapse_map(netlist)
+    return cmap
 
 
 def scoap(netlist: Netlist) -> tuple[dict, dict, dict]:

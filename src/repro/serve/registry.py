@@ -3,13 +3,14 @@
 Batch CLI runs pay three start-up costs per invocation: interpreter +
 module import, worker-pool spawn, and cold cache probes (disk seek +
 unpickle per stage).  The registry is what the service keeps alive so
-repeat traffic pays none of them:
+repeat traffic pays none of them, bar one unpickle per cache hit:
 
 * :class:`WarmCache` -- the shared :class:`~repro.flow.cache.FlowCache`
-  with an in-memory LRU layer in front of the on-disk store.  A repeat
-  submission's stage lookups are dictionary probes; results are
-  deep-copied on the way in and out so the memo can never observe (or
-  leak) a mutation.
+  with an in-memory LRU layer in front of the on-disk store.  The layer
+  keeps each entry's pickled bytes -- the ones written to (or read
+  from) disk -- so a repeat submission's stage lookup is one unpickle,
+  with no disk read, and every caller gets its own objects: the memo
+  can never observe (or leak) a mutation.
 * :class:`WarmPoolProvider` -- one persistent ``ProcessPoolExecutor``
   handed to every :class:`~repro.flow.runner.Runner` through the
   :class:`~repro.flow.resilience.PoolProvider` seam.  Workers survive
@@ -27,61 +28,66 @@ repeat traffic pays none of them:
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Mapping
 
-from repro.flow.cache import FlowCache
+from repro.flow.cache import FlowCache, decode_entry, encode_entry
 from repro.flow.resilience import PoolProvider, kill_pool
 
 
 class WarmCache(FlowCache):
-    """A FlowCache with a bounded in-memory layer over the disk store."""
+    """A FlowCache with a bounded in-memory layer over the disk store.
+
+    The layer holds the entry bytes :meth:`put` pickles for the disk
+    (or a disk hit read), at most ``max_entries`` of them, least
+    recently used first out; ``max_entries=0`` turns it off.  A memory
+    hit unpickles a fresh copy.  Artifacts that cannot be pickled are
+    kept nowhere, as on disk.
+    """
 
     def __init__(self, root: str | None = None,
                  max_entries: int = 256) -> None:
         super().__init__(root)
         self.max_entries = max(0, max_entries)
-        self._memo: OrderedDict[str, dict[str, Any]] = OrderedDict()
+        self._memo: OrderedDict[str, bytes] = OrderedDict()
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
 
     def get(self, key: str) -> dict[str, Any] | None:
         with self._lock:
-            if key in self._memo:
-                self._memo.move_to_end(key)
-                self.memory_hits += 1
-                return copy.deepcopy(self._memo[key])
-            got = super().get(key)
-            if got is not None:
-                self.disk_hits += 1
-                self._remember(key, got)
-            else:
-                self.misses += 1
-            return got
+            blob = self._memo.get(key)
+            if blob is None:
+                got, blob = self._fetch(key)
+                if got is not None:
+                    self.disk_hits += 1
+                    self._remember(key, blob)
+                else:
+                    self.misses += 1
+                return got
+            self._memo.move_to_end(key)
+            self.memory_hits += 1
+        return decode_entry(blob)
 
     def put(self, key: str, stage_name: str,
             artifacts: Mapping[str, Any]) -> int:
+        blob = encode_entry(stage_name, artifacts)
+        if blob is None:
+            return -1
         with self._lock:
-            size = super().put(key, stage_name, artifacts)
-            self._remember(key, artifacts)
-            return size
+            self._remember(key, blob)
+            return self._write(key, blob)
 
-    def _remember(self, key: str, artifacts: Mapping[str, Any]) -> None:
+    def _remember(self, key: str, blob: bytes) -> None:
+        """Keep ``blob`` for ``key``; the caller holds the lock."""
         if not self.max_entries:
             return
-        try:
-            snapshot = copy.deepcopy(dict(artifacts))
-        except Exception:
-            return  # uncopyable artifacts stay disk-only
-        with self._lock:
-            self._memo[key] = snapshot
-            self._memo.move_to_end(key)
-            while len(self._memo) > self.max_entries:
-                self._memo.popitem(last=False)
+        self._memo[key] = blob
+        self._memo.move_to_end(key)
+        while len(self._memo) > self.max_entries:
+            self._memo.popitem(last=False)
 
     def clear(self) -> int:
         with self._lock:

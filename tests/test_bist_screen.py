@@ -21,6 +21,7 @@ import pytest
 
 from repro.designs import dmachine_bist
 from repro.flow.metrics import collect
+from repro.gatelevel import genscale, shard
 from repro.gatelevel.bist_session import (
     BISTHardware,
     _default_checkpoints,
@@ -219,6 +220,74 @@ def test_screened_count_sums_over_sessions():
         bist_fault_attribution(hw, sessions=[["u0"], ["u0"]], **kw)
     assert once["bist_screened"] > 0
     assert twice["bist_screened"] == 2 * once["bist_screened"]
+
+
+# ---------------------------------------------------------------------------
+# screening before the shard plan
+
+
+@pytest.fixture
+def screens(monkeypatch) -> list:
+    """The fault count of every ``screen`` call in this process."""
+    calls = []
+    screen = CompiledNetlist.screen
+
+    def counted(self, faults, *args, **kwargs):
+        calls.append(len(faults))
+        return screen(self, faults, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledNetlist, "screen", counted)
+    return calls
+
+
+def test_one_session_screens_once(bist, screens):
+    hw = bist[0]
+    universe = all_faults(hw.netlist)
+    random.Random(4).shuffle(universe)
+    for shards in (1, 2):
+        bist_fault_attribution(hw, sessions=[["u0"]], cycles=128,
+                               faults=universe[:500], collapse=False,
+                               shards=shards)
+    assert screens == [500, 500]
+
+
+def test_shards_are_planned_on_kept_faults(monkeypatch, screens):
+    """With the suite's shard hook the call dispatches exactly the
+    faults some session keeps, after the parent ran every session's
+    golden run (forked workers inherit it), and the parent records the
+    serial call's ``bist_screened``."""
+    hw = genscale.bist_wrap(
+        genscale.generate_netlist(300, seed=5, signature_bits=8))
+    faults = all_faults(hw.netlist)[:64]
+    kw = dict(sessions=[["u0"], ["u0"]], cycles=12, faults=faults,
+              collapse=False)
+    dispatched = []
+    shard_map = shard.shard_map
+
+    def watched(worker, netlist, chunks, *args, **kwargs):
+        assert compiled(netlist)._golden
+        dispatched.extend(f for chunk in chunks for f in chunk)
+        return shard_map(worker, netlist, chunks, *args, **kwargs)
+
+    monkeypatch.setattr(shard, "shard_map", watched)
+    with collect() as sharded_metrics:
+        sharded = bist_fault_attribution(hw, shards=2, **kw)
+    assert screens == [64, 64]
+    with collect() as serial_metrics:
+        serial = bist_fault_attribution(hw, shards=1, **kw)
+    assert list(sharded.items()) == list(serial.items())
+    kept = compiled(hw.netlist).screen(
+        faults, session_configuration(hw, ["u0"]),
+        _default_checkpoints(12),
+        [n for bits in hw.signature_bit_nets().values() for n in bits])
+    assert len(kept) > shard.TEST_FAULTS_PER_SHARD
+    assert sorted(dispatched) == sorted(kept)
+    assert sharded_metrics["shards_used"] == 2
+    # Both identical sessions screen out the same faults, which stay
+    # undetected.
+    assert (sharded_metrics["bist_screened"]
+            == serial_metrics["bist_screened"]
+            == 2 * (len(faults) - len(kept)))
 
 
 # ---------------------------------------------------------------------------

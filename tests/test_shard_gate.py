@@ -94,15 +94,22 @@ class TestRealRule:
         assert custom["shards_used"] == 1
         assert got == _attribute(hw, faults[:500], shards=1)
 
-    def test_bist_slice_over_one_pass_gets_two_shards(self, real_rule,
-                                                      planned, bist):
+    def test_bist_slice_over_one_pass_is_screened_to_one(self, real_rule,
+                                                         dispatches, bist):
+        """4,000 faults collapse to more representatives than one batch
+        holds, but shards are planned on the faults the golden-run
+        screen keeps (94 of 3,874), which fit one batch: ``shards=2``
+        runs serially."""
         hw, faults = bist
         reps = collapse_map(hw.netlist).representatives(faults[:4000])
+        assert len(reps) == 3874
         assert len(reps) > compiled(hw.netlist).seq_fault_columns()
-        with collect() as custom, pytest.raises(_Planned) as got:
-            _attribute(hw, faults[:4000], shards=2)
-        assert got.value.args == (2,)
-        assert custom["shards_used"] == 2
+        with collect() as custom:
+            got = _attribute(hw, faults[:4000], shards=2)
+        assert dispatches == []
+        assert custom["shards_used"] == 1
+        assert custom["bist_screened"] == 3874 - 94
+        assert got == _attribute(hw, faults[:4000], shards=1)
 
     @pytest.mark.parametrize("shards,expect", [(2, 2), (8, 5)])
     def test_genscale_1k_universe(self, real_rule, planned, shards,

@@ -195,7 +195,9 @@ class TestBistShardLoss:
         from repro.gatelevel.bist_session import bist_fault_attribution
 
         hw, sessions = bist_case
-        faults = all_faults(hw.netlist)[:64]
+        # Shards are planned on the faults the golden-run screen keeps:
+        # 256 faults keep enough for the three shards the kill needs.
+        faults = all_faults(hw.netlist)[:256]
         kw = dict(sessions=sessions, cycles=16, faults=faults)
         serial = bist_fault_attribution(hw, shards=1, **kw)
         with chaos.active(
