@@ -24,11 +24,13 @@ decision and backtrack counts, property-tested in
 
 * the **event-driven engine** (default): each search starts from the
   netlist's cached all-X good machine and propagates only the fault
-  sites; on each decision or backtrack only the fanout cone of the
-  changed control point is re-evaluated, each row through its
-  opcode's 3-valued truth table, the faulty machine only inside the
-  fault's combinational fanout, and the D-frontier and detection state
-  are maintained incrementally;
+  sites; on each decision or backtrack the changed control point's
+  fanout cone is re-evaluated only inside the search's *region* (the
+  fault's combinational fanout plus the fanin closure of that fanout
+  and of the scan-out route's D-input, where every read of the search
+  lies), each row through its opcode's 3-valued truth table, the
+  faulty machine only inside the fanout, and the D-frontier and
+  detection state are maintained incrementally;
 * the **reference engine**: whole-netlist name-keyed 3-valued
   re-simulation of both machines on every search step, kept for
   equivalence checking.
@@ -40,7 +42,7 @@ kernel's knob.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import product
 from typing import Mapping, Sequence
@@ -161,6 +163,9 @@ class ATPGResult:
     test: dict[str, int] | None
     backtracks: int
     decisions: int
+    #: rows the search state evaluated (work, not outcome: the engines
+    #: differ here and nowhere else)
+    evaluations: int = field(default=0, compare=False)
 
     @property
     def effort(self) -> int:
@@ -229,7 +234,7 @@ def combinational_atpg(
     if backend == "event":
         engine: _ReferenceEngine | _EventEngine = _EventEngine(ctx, {
             index[n]: v for n, v in forced.items() if n in index
-        }, observe)
+        }, observe, scan_obs)
     else:
         engine = _ReferenceEngine(netlist, ctx, forced, observe)
 
@@ -247,7 +252,7 @@ def combinational_atpg(
             names = ctx.names
             return ATPGResult(fault, True, False,
                               {names[r]: v for r, v in assign.items()},
-                              backtracks, decisions)
+                              backtracks, decisions, engine.evaluations)
         target = _find_target(ctx, site, fault.stuck_at, engine, assign,
                               scoap, scan_obs)
         if target is None:
@@ -259,7 +264,7 @@ def combinational_atpg(
             if not stack:
                 aborted = backtracks >= backtrack_limit
                 return ATPGResult(fault, False, aborted, None,
-                                  backtracks, decisions)
+                                  backtracks, decisions, engine.evaluations)
             stack[-1][1] ^= 1
             stack[-1][2] = True
             assign[stack[-1][0]] = stack[-1][1]
@@ -267,7 +272,7 @@ def combinational_atpg(
             backtracks += 1
             if backtracks >= backtrack_limit:
                 return ATPGResult(fault, False, True, None,
-                                  backtracks, decisions)
+                                  backtracks, decisions, engine.evaluations)
             continue
         row, val = target
         assign[row] = val
@@ -359,8 +364,10 @@ class _ReferenceEngine:
         self.observe = [ctx.names[r] for r in observe]
         self._gates = [netlist.gate(n) for n in ctx.names]
         self.good: list[int] = []
+        self.evaluations = 0
 
     def refresh(self, assign: Mapping[int, int]) -> None:
+        self.evaluations += len(self._gates)
         names = self.ctx.names
         named = {names[r]: v for r, v in assign.items()}
         self._good = _sim3_gates(self._gates, named)
@@ -453,6 +460,19 @@ class _PodemContext:
         return self._scoap[1]
 
 
+def _reach(edges, roots) -> set[int]:
+    """``roots`` plus every row they reach along ``edges`` (the
+    context's ``consumers`` or ``fanin``)."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for c in edges[stack.pop()]:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return seen
+
+
 def _context(netlist: Netlist) -> _PodemContext:
     """The search context of ``netlist``, kept in its
     :meth:`~repro.gatelevel.gates.Netlist.derived` memo."""
@@ -472,39 +492,40 @@ class _EventEngine:
     plus every row they reach without crossing a flip-flop -- the
     faulty machine equals the good one by construction, so it is never
     evaluated there and no frontier or detection recheck happens there.
-    Every decision/backtrack re-evaluates only the fanout cone of the
+    Every decision/backtrack re-evaluates the fanout cone of the
     changed control point, in row (topological) order with the row
-    number as the heap key, stopping where values settle.  The
-    D-frontier is a maintained set (queried in netlist insertion
+    number as the heap key, stopping where values settle, and only
+    inside the search's *region*: the fanout plus the fanin closure of
+    the fanout and of ``scan_obs``'s D-input row, the scan-out route
+    of a fault on a scan flip-flop's output.  Every read the search
+    makes lies there: activation at the site, the backtrace walking
+    fanins from the site, the scan-out row or a frontier gate's side
+    inputs, the frontier, detection at observe rows and the scan-out
+    check; decisions are rows the backtrace reached.  The region is
+    closed under fanin, so its values equal a whole-netlist
+    evaluation's, and rows outside it keep their all-X start values.
+    The D-frontier is a maintained set (queried in netlist insertion
     order, matching :func:`_d_frontier`'s scan order exactly), and
     detection is a maintained set of observation rows currently
-    showing a binary good/bad difference.
+    showing a binary good/bad difference.  ``evaluations`` counts the
+    rows queued, each evaluated once.
     """
 
     def __init__(self, ctx: _PodemContext, forced: dict[int, int],
-                 observe: frozenset[int]) -> None:
+                 observe: frozenset[int], scan_obs=None) -> None:
         self.ctx = ctx
         self.forced = forced
         self.observe = observe
-        self.fanout = self._fault_fanout()
+        self.fanout = fanout = _reach(ctx.consumers, forced)
+        self.region = _reach(ctx.fanin, fanout if scan_obs is None
+                             else fanout | {scan_obs[0]})
         self.assign: dict[int, int] = {}
         self.good = list(ctx.good_x)
         self.bad = list(ctx.good_x)
+        self.evaluations = 0
         self._diff_obs: set[int] = set()
         self._frontier: set[int] = set()
         self._propagate(self.forced)
-
-    def _fault_fanout(self) -> set[int]:
-        """The fault sites plus every row they reach combinationally."""
-        consumers = self.ctx.consumers
-        seen = set(self.forced)
-        stack = list(seen)
-        while stack:
-            for c in consumers[stack.pop()]:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        return seen
 
     # -- engine interface ------------------------------------------------
 
@@ -533,7 +554,7 @@ class _EventEngine:
         ctx = self.ctx
         fanin, table, consumers = ctx.fanin, ctx.table, ctx.consumers
         good_x, assign = ctx.good_x, self.assign
-        forced, fanout = self.forced, self.fanout
+        forced, fanout, region = self.forced, self.fanout, self.region
         good, bad = self.good, self.bad
         heap = sorted(roots)
         queued = set(heap)
@@ -572,9 +593,10 @@ class _EventEngine:
             if delta:
                 changed.append(r)
                 for c in consumers[r]:
-                    if c not in queued:
+                    if c in region and c not in queued:
                         queued.add(c)
                         heappush(heap, c)
+        self.evaluations += len(queued)
         if changed:
             self._update_views(changed)
 

@@ -253,8 +253,9 @@ def bist_fault_attribution(
     dropped from every later session's batch.  The
     interpreter backend re-runs the session once per fault (the
     equivalence reference).  ``shards`` (or ``REPRO_FAULTSIM_SHARDS``)
-    splits the faults to simulate (on the kernel, the kept ones)
-    across up to that many worker processes when every shard runs
+    splits the faults to simulate (on the kernel, the kept ones, with
+    the caller's screen verdicts shipped along so no shard screens
+    again) across up to that many worker processes when every shard runs
     fewer batches than the serial call
     (:func:`repro.gatelevel.shard.plan`); a list that fits one batch
     runs serially, and the interpreter shards from 32 faults.  Fault
@@ -300,14 +301,11 @@ def bist_fault_attribution(
     ]
     if backend == "kernel":
         comp = compiled(hardware.netlist)
-        observe = [
-            net for bits in hardware.signature_bit_nets().values()
-            for net in bits
-        ]
         # A fault a session's golden run shows cannot reach a signature
         # bit stays undetected in that session without simulation; only
         # faults some session keeps are planned and simulated.  Forked
         # shard workers inherit the golden runs.
+        observe = _signature_nets(hardware)
         keeps = [set(comp.screen(faults, cfg, marks, observe))
                  for cfg in configs]
         kept = set().union(*keeps)
@@ -317,19 +315,11 @@ def bist_fault_attribution(
         if chunks:
             found = _attribution_sharded(
                 hardware, sessions, live, chunks, marks, backend,
+                # in ``live`` order, so the payload is content-determined
+                keeps=[[f for f in live if f in keep] for keep in keeps],
             )
         else:
-            found = {}
-            remaining = live
-            for s, (cfg, keep) in enumerate(zip(configs, keeps)):
-                if not remaining:
-                    break
-                det = comp.sequential_fault_detect(
-                    [f for f in remaining if f in keep], cfg, marks,
-                    observe)
-                found.update((f, (s, c)) for f, c in det.items()
-                             if c is not None)
-                remaining = [f for f in remaining if f not in found]
+            found = _simulate_kept(hardware, configs, live, keeps, marks)
         result = dict.fromkeys(faults)
         result.update(found)
         # Session s screened every fault still undetected when it ran
@@ -365,6 +355,37 @@ def bist_fault_attribution(
     return result
 
 
+def _signature_nets(hardware: BISTHardware) -> list[str]:
+    return [net for bits in hardware.signature_bit_nets().values()
+            for net in bits]
+
+
+def _simulate_kept(
+    hardware: BISTHardware,
+    configs: Sequence[Mapping[str, int]],
+    faults: Sequence[Fault],
+    keeps: Sequence[set[Fault]],
+    marks: Sequence[int],
+) -> dict[Fault, tuple[int, int]]:
+    """The kernel's first detections among screened ``faults``: session
+    *s* runs, as one packed free-run per batch, the faults it keeps
+    (``keeps[s]``) that no earlier session detected."""
+    from repro.gatelevel.kernel import compiled
+
+    comp = compiled(hardware.netlist)
+    observe = _signature_nets(hardware)
+    found: dict[Fault, tuple[int, int]] = {}
+    remaining = list(faults)
+    for s, (cfg, keep) in enumerate(zip(configs, keeps)):
+        if not remaining:
+            break
+        det = comp.sequential_fault_detect(
+            [f for f in remaining if f in keep], cfg, marks, observe)
+        found.update((f, (s, c)) for f, c in det.items() if c is not None)
+        remaining = [f for f in remaining if f not in found]
+    return found
+
+
 def _attribution_shard_worker(args):
     from repro.gatelevel.shard import open_shard
 
@@ -372,10 +393,19 @@ def _attribution_shard_worker(args):
     # Re-point the record at the worker-cached netlist, whose compiled
     # program a warm worker already holds.
     hardware = replace(shared["hardware"], netlist=netlist)
-    # collapse=False: the parent collapsed before sharding.
-    return bist_fault_attribution(
-        hardware, faults=chunk, shards=1, collapse=False, **params,
-    )
+    keeps = shared.get("keeps")
+    if keeps is None:
+        # The interpreter.  collapse=False: the parent collapsed before
+        # sharding.
+        return bist_fault_attribution(
+            hardware, faults=chunk, shards=1, collapse=False, **params,
+        )
+    # The kernel: the parent screened every session already.
+    configs = [session_configuration(hardware, units)
+               for units in params["sessions"]]
+    return _simulate_kept(hardware, configs, chunk,
+                          [set(keep) for keep in keeps],
+                          params["checkpoints"])
 
 
 #: One worker serves both transports; the name stays because the
@@ -390,6 +420,7 @@ def _attribution_sharded(
     chunks: Sequence[Sequence[Fault]],
     marks: Sequence[int],
     backend: str,
+    keeps: Sequence[Sequence[Fault]] | None = None,
 ) -> dict[Fault, tuple[int, int] | None]:
     """Fault-word sharding with deterministic merge: the planned fault
     chunks (:func:`repro.gatelevel.shard.plan`), per-fault independence
@@ -398,6 +429,9 @@ def _attribution_sharded(
 
     Runs on :func:`repro.gatelevel.shard.shard_map`, which ships the
     netlist by content hash; the hardware record travels without it.
+    ``keeps``, the kernel's per-session screen verdicts, is published
+    once with it, so a kernel worker simulates its chunk without
+    screening it again; the interpreter worker runs the serial call.
     A crashed, killed, or pool-less shard is retried once and then run
     in-process; the merge stays byte-identical and the fallback shows
     up in flow metrics.
@@ -409,13 +443,14 @@ def _attribution_sharded(
         # replace() rebuilds through __init__, dropping the lazy
         # _signature_bits cache, so the pickled record (and hence the
         # worker-side object-cache digest) is content-determined.
-        shared={"hardware": replace(hardware, netlist=None)},
+        shared={"hardware": replace(hardware, netlist=None),
+                "keeps": keeps},
         sessions=sessions, checkpoints=marks, backend=backend,
     )
     merged: dict[Fault, tuple[int, int] | None] = {}
     for res in results:
         merged.update(res)
-    return {f: merged[f] for f in faults}
+    return {f: merged.get(f) for f in faults}
 
 
 def bist_fault_coverage(

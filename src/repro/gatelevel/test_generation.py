@@ -273,8 +273,9 @@ def generate_tests(
     steers each backtrace toward the easiest-to-set candidate.
 
     While a flow metrics collector is active the run records
-    ``podem_backtracks`` / ``podem_objectives`` totals over the
-    *consumed* searches (identical for serial and sharded runs) and
+    ``podem_backtracks`` / ``podem_objectives`` / ``podem_evaluations``
+    (rows the search state evaluated) totals over the *consumed*
+    searches (identical for serial and sharded runs) and
     the ``faults_total`` / ``faults_representative`` /
     ``collapse_ratio`` trio when collapsing reduced the universe.
     """
@@ -328,6 +329,7 @@ def generate_tests(
 
     backtracks = 0
     objectives = 0
+    evaluations = 0
     idx = 0  # cursor past classified faults -- no O(n^2) pop(0)
     while idx < len(remaining):
         target = remaining[idx]
@@ -343,6 +345,7 @@ def generate_tests(
         # serial run and a sharded run's speculative search + replay.
         backtracks += res.backtracks
         objectives += res.decisions
+        evaluations += res.evaluations
         if not res.detected:
             idx += 1
             (result.aborted if res.aborted else result.untestable).append(
@@ -379,6 +382,7 @@ def generate_tests(
     if backtracks or objectives:
         record_metric("podem_backtracks", backtracks)
         record_metric("podem_objectives", objectives)
+        record_metric("podem_evaluations", evaluations)
     return result
 
 

@@ -21,6 +21,7 @@ import pytest
 
 from repro.designs import dmachine_bist
 from repro.flow.metrics import collect
+from repro.flow.resilience import PoolProvider, set_shard_pool_provider
 from repro.gatelevel import genscale, shard
 from repro.gatelevel.bist_session import (
     BISTHardware,
@@ -288,6 +289,44 @@ def test_shards_are_planned_on_kept_faults(monkeypatch, screens):
     assert (sharded_metrics["bist_screened"]
             == serial_metrics["bist_screened"]
             == 2 * (len(faults) - len(kept)))
+
+
+class _NoPools(PoolProvider):
+    """An environment that forbids process creation: every shard runs
+    in this process."""
+
+    def acquire(self, jobs: int):
+        raise OSError("no process pools here")
+
+
+@pytest.fixture
+def no_pools():
+    set_shard_pool_provider(_NoPools())
+    yield
+    set_shard_pool_provider(None)
+
+
+def test_kernel_shards_simulate_without_screening_again(screens, no_pools):
+    """A sharded kernel call screens each session once, in the caller:
+    its shards take the caller's verdicts, so in-process shards add no
+    ``screen`` call, and the result and ``bist_screened`` are the serial
+    call's."""
+    hw = genscale.bist_wrap(
+        genscale.generate_netlist(300, seed=5, signature_bits=8))
+    faults = all_faults(hw.netlist)[:64]
+    kw = dict(sessions=[["u0"], ["u0"]], cycles=12, faults=faults,
+              collapse=False)
+    with collect() as sharded_metrics:
+        sharded = bist_fault_attribution(hw, shards=2, **kw)
+    assert sharded_metrics["shards_used"] == 2
+    assert sharded_metrics["shard_fallbacks"] == 2
+    assert screens == [64, 64]
+    with collect() as serial_metrics:
+        serial = bist_fault_attribution(hw, shards=1, **kw)
+    assert list(sharded.items()) == list(serial.items())
+    assert any(hit is not None for hit in serial.values())
+    assert (sharded_metrics["bist_screened"]
+            == serial_metrics["bist_screened"])
 
 
 # ---------------------------------------------------------------------------
