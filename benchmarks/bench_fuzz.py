@@ -5,7 +5,7 @@ scoreboard, which holds only fields the campaign seed determines (no
 timings), so a rerun rewrites it byte-identically:
 
 * **clean oracles**: a real-oracle campaign (every differential
-  oracle, both transports, shards 1/2) on a clean tree is all-match;
+  oracle, shards 1/2) on a clean tree is all-match;
 * **injected harness**: each seeded corner bug
   (:data:`repro.fuzz.oracles.INJECTED_BUGS`) is found and the
   divergent design minimized to a handful of gates;
@@ -90,7 +90,6 @@ def run_experiment() -> Table:
             trials=BUDGETS["real_trials"],
             max_gates=400,
             shards=(1, 2),
-            transports=("shm", "pickle"),
             journal=os.path.join(workdir, "real.jsonl"),
             repro_dir=os.path.join(workdir, "repros"),
         ))
@@ -128,7 +127,7 @@ def run_experiment() -> Table:
         f"real oracles: {real['trials']} trials, "
         f"{out['match']} match / "
         f"{out['divergence'] + out['crash'] + out['hang']} non-match "
-        f"(all oracles, shm+pickle, shards 1/2)"
+        f"(all oracles, shards 1/2)"
     )
     table.notes.append(
         f"bandit first-find beats uniform on {bandit_wins}/"

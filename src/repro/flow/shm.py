@@ -28,14 +28,13 @@ Lifecycle discipline
   parent's ``unlink()`` clears it exactly once, and a crashed tree
   still gets the segment reclaimed by the tracker (bpo-39959 is a
   spawn-separate-tracker problem this layout avoids).
-* **Graceful fallback**: :func:`resolve_transport` degrades to the
-  pickle transport when shared memory is unavailable (no ``/dev/shm``,
-  sealed sandbox) or when ``REPRO_SHARD_TRANSPORT=pickle`` forces it.
-  Pickle is an *inline mode* of the same plane, so workers read every
-  reference through one :func:`fetch`.  The resilience harness's
-  in-process serial fallback works under both transports -- the parent
-  can attach its own segments -- so results stay byte-identical no
-  matter which path executed.
+* **Graceful fallback**: where no segment can be created (no
+  ``/dev/shm``, a sealed sandbox), :func:`shm_available`'s cached probe
+  says so and :func:`repro.gatelevel.shard.plan` runs the engines
+  serially, which is exact, and records ``shard_degraded``.  The
+  resilience harness's in-process fallback attaches the parent's own
+  segments, so results stay byte-identical no matter which path
+  executed.
 """
 
 from __future__ import annotations
@@ -52,14 +51,10 @@ from typing import Any
 
 import numpy as _np
 
-from repro.knobs import resolve
-
 try:
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - platforms without shm support
     _shared_memory = None
-
-TRANSPORT_ENV = "REPRO_SHARD_TRANSPORT"
 
 #: netlists, structures and decoded payloads each worker process keeps
 #: cached by content hash (a warm worker compiles each design once per
@@ -83,7 +78,7 @@ def payload_nbytes(obj: Any) -> int:
 
 
 # ---------------------------------------------------------------------------
-# transport resolution
+# availability
 
 _SHM_PROBE: bool | None = None
 
@@ -104,20 +99,6 @@ def shm_available() -> bool:
             except Exception:
                 _SHM_PROBE = False
     return _SHM_PROBE
-
-
-def resolve_transport(transport: str | None = None) -> str:
-    """The shard transport: ``transport`` > ``REPRO_SHARD_TRANSPORT``
-    > shm.
-
-    ``shm`` degrades to ``pickle`` wherever shared memory does not work
-    (the results are identical either way, only the dispatch cost
-    differs).
-    """
-    transport = resolve(TRANSPORT_ENV, transport)
-    if transport == "shm" and not shm_available():
-        return "pickle"
-    return transport
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +127,6 @@ class ObjectRef:
     handle: ShmHandle
 
 
-@dataclass(frozen=True, eq=False)
-class InlineRef:
-    """A payload carried in the shard argument itself (the pickle
-    transport): it is pickled into every argument that holds it."""
-
-    value: Any
-
-
 _LIVE_PLANES: "set[PayloadPlane]" = set()
 _ATEXIT_INSTALLED = False
 
@@ -170,18 +143,12 @@ class PayloadPlane:
     (and attachable, including by the in-process fallback) until every
     shard has finished, then are closed and unlinked even when a shard
     raises.
-
-    Under the ``pickle`` transport (:func:`resolve_transport`, read at
-    construction) the plane is *inline*: it creates no segment, and
-    :meth:`publish_object` / :meth:`publish_array` return an
-    :class:`InlineRef` holding the payload.
     """
 
     def __init__(self) -> None:
         self._segments: list[Any] = []
         self.total_bytes = 0
         self.closed = False
-        self.inline = resolve_transport() == "pickle"
         global _ATEXIT_INSTALLED
         if not _ATEXIT_INSTALLED:
             atexit.register(_atexit_close_planes)
@@ -205,10 +172,8 @@ class PayloadPlane:
         seg.buf[:len(payload)] = payload
         return ShmHandle(seg.name, len(payload), (), "")
 
-    def publish_array(self, arr) -> ShmHandle | InlineRef:
+    def publish_array(self, arr) -> ShmHandle:
         """Publish a C-contiguous numpy array; workers map it zero-copy."""
-        if self.inline:
-            return InlineRef(arr)
         arr = _np.ascontiguousarray(arr)
         seg = self._create(arr.nbytes)
         if arr.nbytes:
@@ -218,12 +183,9 @@ class PayloadPlane:
                          arr.dtype.str)
 
     def publish_object(self, obj: Any, blob: bytes | None = None,
-                       digest: str | None = None) -> ObjectRef | InlineRef:
+                       digest: str | None = None) -> ObjectRef:
         """Pickle ``obj`` into a segment; callers may pass a pre-pickled
-        ``blob`` (and its ``digest``) to reuse a memoised serialisation.
-        An inline plane ignores both and carries ``obj`` itself."""
-        if self.inline:
-            return InlineRef(obj)
+        ``blob`` (and its ``digest``) to reuse a memoised serialisation."""
         if blob is None:
             blob = pickle.dumps(obj, protocol=_PICKLE_PROTO)
         if digest is None:
@@ -336,11 +298,9 @@ def fetch_object(ref: ObjectRef) -> Any:
 
 def fetch(ref: Any) -> Any:
     """The payload behind a reference from :meth:`PayloadPlane.publish_object`
-    or :meth:`PayloadPlane.publish_array`: an inline value, a
-    digest-cached object, or a zero-copy array view (valid while the
-    task runs, as for :func:`attach_array`)."""
-    if isinstance(ref, InlineRef):
-        return ref.value
+    or :meth:`PayloadPlane.publish_array`: a digest-cached object, or
+    a zero-copy array view (valid while the task runs, as for
+    :func:`attach_array`)."""
     if isinstance(ref, ObjectRef):
         return fetch_object(ref)
     return attach_array(ref)

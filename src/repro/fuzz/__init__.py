@@ -1,11 +1,11 @@
 """Bandit-guided differential fuzzing over the whole testability stack.
 
 Every accelerated path this repository ships -- compiled kernel vs
-reference interpreter, sharded vs serial, shm vs pickle transport,
-collapsed vs full fault universe, guided vs unguided PODEM -- promises
-byte-identical results.  The seed designs exercise those promises on
-seven netlists; this subsystem exercises them on *thousands* of
-structurally diverse generated designs:
+reference interpreter, sharded vs serial, collapsed vs full fault
+universe, guided vs unguided PODEM -- promises byte-identical results.
+The seed designs exercise those promises on seven netlists; this
+subsystem exercises them on *thousands* of structurally diverse
+generated designs:
 
 * :mod:`repro.fuzz.generator` -- a seeded, feature-parameterised
   :class:`DesignSpec` built on :mod:`repro.gatelevel.genscale`, whose

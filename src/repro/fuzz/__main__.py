@@ -43,9 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", default="2",
                    help="comma list of shard counts the shards oracle "
                         "compares against serial (default: 2)")
-    p.add_argument("--transports", default="shm,pickle",
-                   help="comma list for the transport oracle "
-                        "(default: shm,pickle)")
     p.add_argument("--oracles", default=None,
                    help=f"comma list of oracles to run "
                         f"(default: all of {','.join(ORACLES)})")
@@ -96,7 +93,6 @@ def main(argv: list[str] | None = None) -> int:
             alpha=args.alpha,
             max_gates=args.max_gates,
             shards=_csv_ints(args.shards),
-            transports=_csv(args.transports),
             oracles=oracles,
             inject=args.inject,
             timeout=args.timeout,

@@ -55,7 +55,6 @@ class CampaignConfig:
     alpha: float = 1.2
     max_gates: int = 1500
     shards: tuple[int, ...] = (2,)
-    transports: tuple[str, ...] = ("shm", "pickle")
     oracles: tuple[str, ...] | None = None
     inject: str | None = None
     timeout: float | None = None
@@ -81,7 +80,6 @@ class CampaignConfig:
             "alpha": self.alpha,
             "max_gates": self.max_gates,
             "shards": list(self.shards),
-            "transports": list(self.transports),
             "oracles": list(self.oracle_names()),
             "inject": self.inject,
             "arms": n_arms,
@@ -183,10 +181,7 @@ def _run_trial_oracles(
     if config.inject:
         finding = injected_divergence(config.inject, netlist, spec)
         return [finding] if finding else []
-    options = {
-        "shards": config.shards,
-        "transports": config.transports,
-    }
+    options = {"shards": config.shards}
     findings = []
     for name in config.oracle_names():
         finding = run_oracle(ORACLES[name], netlist, spec, runner,
@@ -211,8 +206,7 @@ def _minimize_finding(
     else:
         def check(nl) -> bool:
             got = check_oracle(oracle, nl, spec,
-                               options={"shards": config.shards,
-                                        "transports": config.transports})
+                               options={"shards": config.shards})
             return (got is not None
                     and got["outcome"] == finding["outcome"])
 

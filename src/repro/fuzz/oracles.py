@@ -18,12 +18,12 @@ outcome                  meaning
 
 The differential pairs mirror every backend pair the repository ships:
 ``backend`` (kernel vs interpreter detection cycles), ``shards``
-(serial vs fault-parallel), ``transport`` (shm vs pickle shard
-payloads), ``collapse`` (representatives-expanded vs full universe),
-``atpg`` (reference vs event-driven PODEM classification), ``guidance``
-(SCOAP-guided vs unguided classification) and ``atpg_vs_sim`` (a PODEM
-"detected" vector must actually detect under fault simulation), plus
-``bist`` attribution (kernel vs interpreter) on MISR-wrapped specs.
+(serial vs fault-parallel), ``collapse`` (representatives-expanded vs
+full universe), ``atpg`` (reference vs event-driven PODEM
+classification), ``guidance`` (SCOAP-guided vs unguided
+classification) and ``atpg_vs_sim`` (a PODEM "detected" vector must
+actually detect under fault simulation), plus ``bist`` attribution
+(kernel vs interpreter) on MISR-wrapped specs.
 
 :data:`INJECTED_BUGS` holds deliberately broken predicates used by the
 benchmark harness and the minimizer acceptance tests -- they fabricate
@@ -34,11 +34,9 @@ and delta-debugging can be validated without a real bug in the tree.
 from __future__ import annotations
 
 import concurrent.futures
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.gatelevel.gates import Netlist
 from repro.knobs import resolve
@@ -49,43 +47,21 @@ from repro.fuzz.generator import DesignSpec
 # ---------------------------------------------------------------------------
 # canonical leg functions (module-level: picklable into worker pools)
 
-@contextmanager
-def _env(overrides: dict[str, str] | None) -> Iterator[None]:
-    """Apply environment overrides for the duration of one leg."""
-    if not overrides:
-        yield
-        return
-    saved = {k: os.environ.get(k) for k in overrides}
-    os.environ.update(overrides)
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 def _leg_faultsim(arg) -> list[list]:
     """fault -> first detecting cycle, canonicalised."""
-    netlist, faults, seq, width, kw, env = arg
+    netlist, faults, seq, width, kw = arg
     from repro.gatelevel.fault_sim import fault_simulate_cycles
 
-    with _env(env):
-        res = fault_simulate_cycles(
-            netlist, faults, seq, width=width, **kw
-        )
+    res = fault_simulate_cycles(netlist, faults, seq, width=width, **kw)
     return [
         [f.net, f.stuck_at, -1 if res[f] is None else res[f]]
         for f in faults
     ]
 
 
-#: faults a shard holds in the sharded legs of the ``shards`` and
-#: ``transport`` oracles (the ``repro.gatelevel.shard`` test hook): a
-#: fuzzed design fits one kernel pass, so the real rule would run them
-#: serially
+#: faults a shard holds in the sharded legs of the ``shards`` oracle
+#: (the ``repro.gatelevel.shard`` test hook): a fuzzed design fits one
+#: kernel pass, so the real rule would run them serially
 _LEG_FAULTS_PER_SHARD = 16
 
 
@@ -156,16 +132,14 @@ def _leg_const(arg) -> Any:
 
 def _leg_bist(arg) -> list[list]:
     """fault -> (session, checkpoint) attribution, canonicalised."""
-    netlist, faults, cycles, kw, env = arg
+    netlist, faults, cycles, kw = arg
     from repro.gatelevel.bist_session import bist_fault_attribution
     from repro.gatelevel.genscale import bist_wrap
 
     hardware = bist_wrap(netlist)
-    with _env(env):
-        res = bist_fault_attribution(
-            hardware, sessions=[["u0"]], cycles=cycles, faults=faults,
-            **kw,
-        )
+    res = bist_fault_attribution(
+        hardware, sessions=[["u0"]], cycles=cycles, faults=faults, **kw,
+    )
     return [
         [f.net, f.stuck_at,
          *(res[f] if res[f] is not None else (-1, -1))]
@@ -207,9 +181,9 @@ def _o_backend(netlist, spec, options) -> list[Leg] | None:
     seq = spec.patterns(netlist)
     return [
         Leg("backend=kernel", _leg_faultsim,
-            (netlist, faults, seq, spec.width, _simkw("kernel"), None)),
+            (netlist, faults, seq, spec.width, _simkw("kernel"))),
         Leg("backend=interp", _leg_faultsim,
-            (netlist, faults, seq, spec.width, _simkw("interp"), None)),
+            (netlist, faults, seq, spec.width, _simkw("interp"))),
     ]
 
 
@@ -220,32 +194,15 @@ def _o_shards(netlist, spec, options) -> list[Leg] | None:
     seq = spec.patterns(netlist)
     legs = [
         Leg("shards=1", _leg_faultsim,
-            (netlist, faults, seq, spec.width, _simkw(), None)),
+            (netlist, faults, seq, spec.width, _simkw())),
     ]
     for s in options.get("shards", (2,)):
         if s > 1:
             legs.append(Leg(
                 f"shards={s}", _leg_sharded_faultsim,
-                (netlist, faults, seq, spec.width,
-                 _simkw(shards=s), None),
+                (netlist, faults, seq, spec.width, _simkw(shards=s)),
             ))
     return legs if len(legs) > 1 else None
-
-
-def _o_transport(netlist, spec, options) -> list[Leg] | None:
-    faults = spec.faults(netlist)
-    if len(faults) < 2 * _LEG_FAULTS_PER_SHARD:  # under two full shards
-        return None
-    transports = options.get("transports", ("shm", "pickle"))
-    if len(transports) < 2:
-        return None
-    seq = spec.patterns(netlist)
-    return [
-        Leg(f"transport={t}", _leg_sharded_faultsim,
-            (netlist, faults, seq, spec.width, _simkw(shards=2),
-             {"REPRO_SHARD_TRANSPORT": t}))
-        for t in transports
-    ]
 
 
 def _o_collapse(netlist, spec, options) -> list[Leg] | None:
@@ -253,11 +210,10 @@ def _o_collapse(netlist, spec, options) -> list[Leg] | None:
     seq = spec.patterns(netlist)
     return [
         Leg("collapse=off", _leg_faultsim,
-            (netlist, faults, seq, spec.width, _simkw(), None)),
+            (netlist, faults, seq, spec.width, _simkw())),
         Leg("collapse=on", _leg_faultsim,
             (netlist, faults, seq, spec.width,
-             {"backend": "kernel", "shards": 1, "collapse": True},
-             None)),
+             {"backend": "kernel", "shards": 1, "collapse": True})),
     ]
 
 
@@ -308,11 +264,9 @@ def _o_bist(netlist, spec, options) -> list[Leg] | None:
     kw = {"collapse": False}
     return [
         Leg("bist=kernel", _leg_bist,
-            (netlist, faults, cycles,
-             dict(kw, backend="kernel"), None)),
+            (netlist, faults, cycles, dict(kw, backend="kernel"))),
         Leg("bist=interp", _leg_bist,
-            (netlist, faults, cycles,
-             dict(kw, backend="interp"), None)),
+            (netlist, faults, cycles, dict(kw, backend="interp"))),
     ]
 
 
@@ -347,7 +301,6 @@ def compare_classifications(labels: Sequence[str],
 ORACLES: dict[str, OracleDef] = {
     "backend": OracleDef("backend", _o_backend),
     "shards": OracleDef("shards", _o_shards),
-    "transport": OracleDef("transport", _o_transport),
     "collapse": OracleDef("collapse", _o_collapse),
     "atpg": OracleDef("atpg", _o_atpg,
                       comparator=compare_classifications),

@@ -408,8 +408,8 @@ def _attribution_shard_worker(args):
                           params["checkpoints"])
 
 
-#: One worker serves both transports; the name stays because the
-#: benchmark's tracer (``perfbench/workloads.py``) patches it.
+#: The benchmark's tracer (``perfbench/workloads.py``) patches this
+#: name, so it stays.
 _attribution_shard_worker_shm = _attribution_shard_worker
 
 

@@ -184,8 +184,8 @@ def _shard_worker(args):
     return res, time.perf_counter() - t0
 
 
-#: One worker serves both transports; the name stays because the
-#: benchmark's tracer (``perfbench/workloads.py``) patches it.
+#: The benchmark's tracer (``perfbench/workloads.py``) patches this
+#: name, so it stays.
 _shard_worker_shm = _shard_worker
 
 
@@ -208,11 +208,11 @@ def _fault_simulate_sharded(
     packed into words, published once.
 
     Dispatch runs on :func:`repro.gatelevel.shard.shard_map`: payloads
-    travel over the transport picked by ``REPRO_SHARD_TRANSPORT``, and
-    a shard whose worker crashes or dies is retried once (in a fresh
-    pool if the old one broke) and then executed in-process, so worker
-    loss degrades throughput, never the result (visible as the
-    ``shard_fallbacks`` / ``shard_pool_rebuilds`` flow metrics).
+    are published once in shared memory, and a shard whose worker
+    crashes or dies is retried once (in a fresh pool if the old one
+    broke) and then executed in-process, so worker loss degrades
+    throughput, never the result (visible as the ``shard_fallbacks`` /
+    ``shard_pool_rebuilds`` flow metrics).
     """
     from repro.gatelevel import kernel
     from repro.gatelevel.shard import shard_map

@@ -1111,8 +1111,7 @@ def compiled(netlist: Netlist) -> CompiledNetlist:
 #: keeps its derived memo -- and with it the :class:`CompiledNetlist`
 #: -- alive, so a warm worker that has seen a design serves every later
 #: shard/job from the compiled program without ever re-running
-#: levelization -- and, under the shm transport, without even
-#: unpickling the body again.
+#: levelization, or even unpickling the published body again.
 _BY_HASH: "OrderedDict[str, Netlist]" = OrderedDict()
 _HASH_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 

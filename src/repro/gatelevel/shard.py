@@ -7,9 +7,8 @@ the old one broke, then in-process).  :func:`shard_map` publishes the
 netlist, the faults and the engine's ``shared`` payloads once on a
 :class:`repro.flow.shm.PayloadPlane` and gives each chunk one small
 argument; the worker's :func:`open_shard` fires the ``<label>:<i>``
-chaos checkpoint and resolves them.  The plane's transport decides
-whether a reference names a shared-memory segment or carries the
-payload inline (pickle), so one worker serves both.
+chaos checkpoint and resolves them.  Where shared memory does not
+work, :func:`plan` runs every engine serially instead.
 """
 
 from __future__ import annotations
@@ -45,7 +44,10 @@ def plan(netlist: Netlist, faults: Sequence[Fault], shards: int,
     and runs serially when ``n < 2``, so it is split only when every
     shard runs fewer passes than the serial call would: a list that
     fits one pass never pays for a pool.  The decision reads only
-    counts, never a timing.  When ``shards > 1`` it is recorded as the
+    counts, never a timing.  A split also needs shared memory
+    (:func:`repro.flow.shm.shm_available`): without it the call runs
+    serially, which is exact, and records the ``shard_degraded`` flow
+    metric.  When ``shards > 1`` the count is recorded as the
     ``shards_used`` flow metric (1 when serial).
 
     Faults are dealt round-robin in topological-row order: shard *i*
@@ -57,6 +59,7 @@ def plan(netlist: Netlist, faults: Sequence[Fault], shards: int,
     """
     if shards < 2:
         return None
+    from repro.flow import shm
     from repro.flow.metrics import record_metric
     from repro.gatelevel import kernel
 
@@ -64,6 +67,9 @@ def plan(netlist: Netlist, faults: Sequence[Fault], shards: int,
     if callable(per_pass):
         per_pass = per_pass(kernel.compiled(netlist))
     n = min(shards, -(-len(faults) // per_pass))
+    if n >= 2 and not shm.shm_available():
+        record_metric("shard_degraded", 1)
+        n = 1
     record_metric("shards_used", max(n, 1))
     if n < 2:
         return None
@@ -98,11 +104,8 @@ def shard_map(
     from repro.flow import resilience, shm
     from repro.gatelevel import kernel
 
-    digest = kernel.netlist_hash(netlist)
+    digest, blob = kernel.netlist_blob(netlist)
     with shm.PayloadPlane() as plane, kernel.lend_netlist(digest, netlist):
-        # An inline plane carries the netlist object itself, so only a
-        # plane that ships bytes needs the pickled body.
-        blob = None if plane.inline else kernel.netlist_blob(netlist)[1]
         net_ref = plane.publish_object(netlist, blob=blob, digest=digest)
         blocks = _publish_faults(plane, netlist, chunks)
         refs = {

@@ -216,8 +216,8 @@ def _parallel_podem(
     byte-identical to the serial loop.
 
     The planned chunks (:func:`repro.gatelevel.shard.plan`) run on
-    :func:`repro.gatelevel.shard.shard_map`: payloads follow
-    ``REPRO_SHARD_TRANSPORT``, and a crashed or killed shard is retried
+    :func:`repro.gatelevel.shard.shard_map`: payloads are published
+    once in shared memory, and a crashed or killed shard is retried
     once (in a fresh pool if the old one broke), then its chunk is
     searched in-process -- same results, fallback recorded in flow
     metrics.

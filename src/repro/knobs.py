@@ -104,14 +104,6 @@ KNOBS: dict[str, Knob] = {
         choices={"event": (),
                  "reference": ("ref", "interp", "interpreter")},
     ),
-    "REPRO_SHARD_TRANSPORT": Knob(
-        "choice", "shm",
-        "payload transport for fault-parallel shard dispatch: shared-"
-        "memory segments with tiny pickled references, or classic "
-        "whole-payload pickles through the pool pipe (shm degrades to "
-        "pickle where shared memory is unavailable)",
-        arg="transport", choices={"shm": (), "pickle": ()},
-    ),
     "REPRO_FLOWCACHE": Knob(
         "path", ".flowcache", "flow artifact cache directory", arg="root",
     ),

@@ -20,7 +20,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.flow import shm
 from repro.gatelevel.atpg import combinational_atpg
 from repro.gatelevel.fault_sim import fault_simulate
 from repro.gatelevel.faults import Fault, all_faults
@@ -111,32 +110,25 @@ class TestEventEnginePODEM:
 
 
 class TestShardedGeneration:
-    # Both transports: shm publishes the payloads in shared memory, and
-    # pickle carries them inside every shard argument.
-    def test_sharded_identical_to_serial(self, fullscan_nl, monkeypatch):
+    def test_sharded_identical_to_serial(self, fullscan_nl):
         faults = all_faults(fullscan_nl)
         serial = generate_tests(fullscan_nl, faults=faults, shards=1)
-        for transport in ("shm", "pickle"):
-            monkeypatch.setenv(shm.TRANSPORT_ENV, transport)
-            for shards in (2, 4):
-                sharded = generate_tests(
-                    fullscan_nl, faults=faults, shards=shards
-                )
-                assert _same_testset(serial, sharded), (transport, shards)
+        for shards in (2, 4):
+            sharded = generate_tests(
+                fullscan_nl, faults=faults, shards=shards
+            )
+            assert _same_testset(serial, sharded), shards
 
-    def test_sharded_identical_without_predrop(self, fullscan_nl,
-                                               monkeypatch):
+    def test_sharded_identical_without_predrop(self, fullscan_nl):
         faults = all_faults(fullscan_nl)[:60]
         serial = generate_tests(
             fullscan_nl, faults=faults, predrop=0, shards=1
         )
-        for transport in ("shm", "pickle"):
-            monkeypatch.setenv(shm.TRANSPORT_ENV, transport)
-            for shards in (2, 4):
-                sharded = generate_tests(
-                    fullscan_nl, faults=faults, predrop=0, shards=shards
-                )
-                assert _same_testset(serial, sharded), (transport, shards)
+        for shards in (2, 4):
+            sharded = generate_tests(
+                fullscan_nl, faults=faults, predrop=0, shards=shards
+            )
+            assert _same_testset(serial, sharded), shards
 
     def test_backends_identical(self, fullscan_nl):
         faults = all_faults(fullscan_nl)[:80]

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cdfg import suite
 from repro.bist import assign_test_roles, schedule_sessions
-from repro.flow import shm
 from repro.gatelevel.bist_session import (
     bist_fault_attribution,
     bist_fault_coverage,
@@ -123,19 +122,16 @@ class TestCoverageEquality:
 
 
 class TestSharding:
-    def test_shard_identity(self, iir2, monkeypatch):
-        """1/2/4 shards merge to the identical attribution map, under
-        both shard transports."""
+    def test_shard_identity(self, iir2):
+        """1/2/4 shards merge to the identical attribution map."""
         hw, sessions = iir2
         faults = all_faults(hw.netlist)[:64]
         kw = dict(sessions=sessions, cycles=16, faults=faults)
         serial = bist_fault_attribution(hw, shards=1, **kw)
-        for transport in ("shm", "pickle"):
-            monkeypatch.setenv(shm.TRANSPORT_ENV, transport)
-            for shards in (2, 4):
-                sharded = bist_fault_attribution(hw, shards=shards, **kw)
-                assert sharded == serial, (transport, shards)
-                assert list(sharded) == list(serial), (transport, shards)
+        for shards in (2, 4):
+            sharded = bist_fault_attribution(hw, shards=shards, **kw)
+            assert sharded == serial, shards
+            assert list(sharded) == list(serial), shards
 
 
 class TestAttribution:

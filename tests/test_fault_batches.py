@@ -8,10 +8,10 @@ those the batches hold, rebuilds the survivors into fresh batches that
 carry their faulty state (see ``docs/fault_batches.md``).  These tests
 shrink the budget so small designs run several batches, a short tail
 batch and repacks, and check the results against the reference
-interpreter and across shard counts and transports.  The same budget
-sizes the sequential engine's bit columns
-(``docs/sequential_fault_sim.md``); its tests check the default
-widths on real designs and that the width never changes a result.
+interpreter and across shard counts.  The same budget sizes the
+sequential engine's bit columns (``docs/sequential_fault_sim.md``);
+its tests check the default widths on real designs and that the width
+never changes a result.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import random
 import pytest
 
 from repro.designs import build_dmachine, dmachine_bist
-from repro.flow import shm
 from repro.gatelevel import bist_session, fault_sim, genscale, kernel
 from repro.gatelevel.fault_sim import _fault_simulate_cycles_interp
 from repro.gatelevel.faults import Fault, all_faults
@@ -105,13 +104,10 @@ def test_batches_and_repacks_match_interpreter(design, width,
     assert log.carried, "no faulty state crossed a repack"
 
 
-@pytest.mark.parametrize("transport", ["shm", "pickle"])
-def test_sharded_unknown_net_faults_keep_caller_order(transport,
-                                                      monkeypatch):
+def test_sharded_unknown_net_faults_keep_caller_order():
     """Faults on nets the netlist lacks travel in the dealt fault block
     as extras and come back ``None``, in caller order, for any shard
     count."""
-    monkeypatch.setenv(shm.TRANSPORT_ENV, transport)
     nl = genscale.generate_netlist(200, seed=3)
     mixed = all_faults(nl)
     ghosts = [Fault(f"ghost{i}", i % 2) for i in range(9)]

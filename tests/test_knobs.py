@@ -48,8 +48,8 @@ def _clean_env(monkeypatch):
 
 
 class TestTable:
-    def test_sixteen_knobs(self):
-        assert len(KNOBS) == 16
+    def test_fifteen_knobs(self):
+        assert len(KNOBS) == 15
         assert [r[0] for r in rows()] == sorted(KNOBS)
 
     @pytest.mark.parametrize("name", sorted(KNOBS))
@@ -208,7 +208,6 @@ class TestKernelsRouteThroughKnobs:
             resolve_backend("fancy")
 
     def test_atpg_resolvers(self, monkeypatch):
-        from repro.flow import shm
         from repro.gatelevel.atpg import combinational_atpg
         from repro.gatelevel.faults import Fault
         from repro.gatelevel.gates import Netlist
@@ -225,18 +224,14 @@ class TestKernelsRouteThroughKnobs:
             combinational_atpg(nl, Fault("y", 0))
         with pytest.raises(KnobError, match="backend='magic'"):
             combinational_atpg(nl, Fault("y", 0), backend="magic")
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "carrier-pigeon")
-        with pytest.raises(KnobError, match=shm.TRANSPORT_ENV):
-            shm.resolve_transport()
 
 
 def test_registry_covers_the_resolvers():
     """The variable names code writes or prints are declared knobs."""
     from repro.flow.cache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR
     from repro.flow.chaos import CHAOS_ENV
-    from repro.flow.shm import TRANSPORT_ENV
 
-    for name in (CACHE_DIR_ENV, CHAOS_ENV, TRANSPORT_ENV):
+    for name in (CACHE_DIR_ENV, CHAOS_ENV):
         assert name in KNOBS, name
     assert DEFAULT_CACHE_DIR == KNOBS[CACHE_DIR_ENV].default
 

@@ -1,9 +1,9 @@
-"""Zero-copy shard dispatch: transport selection, payload lifecycle,
-warm-worker caches, ship-once discipline, and error surfacing.
+"""Zero-copy shard dispatch: payload lifecycle, warm-worker caches,
+ship-once discipline, and error surfacing.
 
 The contract under test (docs/shard_dispatch.md): results are
-byte-identical across ``{pickle, shm} x {1, 2, 4}`` shard configs, the
-parent owns (and always unlinks) every shared-memory segment, a worker
+byte-identical across ``{1, 2, 4}`` shard configs, the parent owns
+(and always unlinks) every shared-memory segment, a worker
 forked for a call starts from the parent's compiled netlist, a warm
 worker unpickles and compiles each distinct netlist once per pool
 generation, and worker exceptions are counted instead of swallowed.
@@ -32,7 +32,6 @@ from repro.flow.resilience import (
 from repro.gatelevel import fault_sim, genscale, kernel, shard
 from repro.gatelevel.faults import all_faults
 from repro.gatelevel.shard import open_shard, shard_map
-from repro.knobs import KnobError
 from repro.serve.registry import WarmPoolProvider
 from tests.test_kernel_equivalence import _sequence, netlists
 
@@ -45,39 +44,9 @@ def _no_repro_segments() -> bool:
     return not glob.glob("/dev/shm/repro_*")
 
 
-# -- transport resolution --------------------------------------------------
-
-class TestTransportResolution:
-    def test_explicit_arg_wins(self, monkeypatch):
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "shm")
-        assert shm.resolve_transport("pickle") == "pickle"
-
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "pickle")
-        assert shm.resolve_transport() == "pickle"
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "shm")
-        assert shm.resolve_transport() == "shm"
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "carrier-pigeon")
-        with pytest.raises(KnobError):
-            shm.resolve_transport()
-
-    def test_degrades_to_pickle_without_shm(self, monkeypatch):
-        monkeypatch.setattr(shm, "_SHM_PROBE", False)
-        assert shm.resolve_transport() == "pickle"
-        assert shm.resolve_transport("shm") == "pickle"
-
-
 # -- payload plane lifecycle -----------------------------------------------
 
 class TestPayloadPlane:
-    @pytest.fixture(autouse=True)
-    def _shm_transport(self, monkeypatch):
-        # A plane reads the transport when it is made; these tests pin
-        # the segment path whatever REPRO_SHARD_TRANSPORT says.
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "shm")
-
     def test_bytes_roundtrip_and_unlink(self):
         with shm.PayloadPlane() as plane:
             h = plane.publish_bytes(b"stuck-at-0")
@@ -106,22 +75,15 @@ class TestPayloadPlane:
         assert stats["object_misses"] == before + 1
         assert stats["object_hits"] >= 1
 
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_fetch_reads_either_transport(self, monkeypatch, transport):
+    def test_fetch_reads_objects_and_arrays(self):
         np = pytest.importorskip("numpy")
-        monkeypatch.setenv(shm.TRANSPORT_ENV, transport)
         payload = {"faults": list(range(8))}
         arr = np.arange(12, dtype=np.int64).reshape(6, 2)
         with shm.PayloadPlane() as plane:
             obj_ref = plane.publish_object(payload)
             arr_ref = plane.publish_array(arr)
-            assert plane.inline == (transport == "pickle")
             assert shm.fetch(obj_ref) == payload
             assert (shm.fetch(arr_ref) == arr).all()
-            if plane.inline:
-                # The reference carries the payload: no segment at all.
-                assert shm.fetch(obj_ref) is payload
-                assert plane.total_bytes == 0
 
     def test_close_is_idempotent_and_exception_safe(self):
         plane = shm.PayloadPlane()
@@ -196,7 +158,6 @@ class TestShipOnce:
     def test_shm_serializes_netlist_once_across_calls(
         self, monkeypatch, warm_pool
     ):
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "shm")
         monkeypatch.setattr(shard, "TEST_FAULTS_PER_SHARD", 4)
         nl = genscale.generate_netlist(120, seed=11)
         faults = all_faults(nl)[:16]
@@ -212,24 +173,9 @@ class TestShipOnce:
         assert nl._pickles == 1
         assert results[0] == results[1]
 
-    def test_pickle_transport_ships_per_shard(self, monkeypatch):
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "pickle")
-        monkeypatch.setattr(shard, "TEST_FAULTS_PER_SHARD", 4)
-        nl = genscale.generate_netlist(120, seed=11)
-        faults = all_faults(nl)[:16]
-        seq = _sequence(nl, width=8, n_cycles=2)
-        fault_sim.fault_simulate_cycles(
-            nl, faults, seq, width=8, shards=2, backend="kernel",
-        )
-        # One full copy per shard arg, and no blob: an inline plane
-        # never ships the pickled body, so the parent never builds it.
-        assert nl._pickles == 2
-        assert "blob" not in nl.derived()
-
     def test_warm_worker_unpickles_once_per_generation(
         self, monkeypatch, warm_pool
     ):
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "shm")
         monkeypatch.setattr(shard, "TEST_FAULTS_PER_SHARD", 4)
         nl = genscale.generate_netlist(150, seed=12)
         faults = all_faults(nl)[:16]
@@ -253,20 +199,19 @@ class TestShipOnce:
         assert net_stats["entries"] >= 1
 
     def test_shm_payload_refs_are_smaller(self, monkeypatch):
+        """A shard argument carries references, not payloads: it is at
+        least 5x smaller than the pickled netlist body alone."""
         monkeypatch.setattr(shard, "TEST_FAULTS_PER_SHARD", 4)
         nl = genscale.generate_netlist(400, seed=13)
         faults = all_faults(nl)[:32]
         seq = _sequence(nl, width=8, n_cycles=2)
-        sizes = {}
-        for transport in ("pickle", "shm"):
-            monkeypatch.setenv(shm.TRANSPORT_ENV, transport)
-            with collect() as custom:
-                fault_sim.fault_simulate_cycles(
-                    nl, faults, seq, width=8, shards=2,
-                    backend="kernel",
-                )
-            sizes[transport] = custom["payload_bytes"]
-        assert sizes["shm"] * 5 <= sizes["pickle"]
+        with collect() as custom:
+            fault_sim.fault_simulate_cycles(
+                nl, faults, seq, width=8, shards=2, backend="kernel",
+            )
+        assert custom["shards_used"] == 2
+        per_shard = custom["payload_bytes"] / custom["shards_used"]
+        assert per_shard * 5 <= len(kernel.netlist_blob(nl)[1])
         assert _no_repro_segments()
 
 
@@ -320,14 +265,10 @@ needs_fork = pytest.mark.skipif(
 
 class TestInheritance:
     @needs_fork
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_forked_worker_starts_from_parent_netlist(
-        self, monkeypatch, transport
-    ):
+    def test_forked_worker_starts_from_parent_netlist(self):
         """A worker forked for the call resolves the digest from the
         registry without a fetch and finds the parent's compiled program
         in the netlist's memo; the parent's registry is as it was."""
-        monkeypatch.setenv(shm.TRANSPORT_ENV, transport)
         nl = genscale.generate_netlist(150, seed=21)
         faults = all_faults(nl)[:8]
         before = _registry()
@@ -404,7 +345,6 @@ class TestInheritance:
         """A spawned worker inherits nothing: its first shard fetches
         and decodes the published body (one miss), its second hits, and
         sharded fault simulation on such pools equals serial."""
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "shm")
         nl = genscale.generate_netlist(150, seed=24)
         faults = all_faults(nl)[:32]
         got = shard_map(_inherit_probe, nl, [faults[:16], faults[16:]],
@@ -427,12 +367,12 @@ def _leak_guard():
     assert _no_repro_segments(), "leaked repro_* shared-memory segments"
 
 
-# -- transport equivalence on random designs -------------------------------
+# -- shard equivalence on random designs -----------------------------------
 
 @pytest.fixture(scope="class")
 def eq_pool():
     """One warm 2-worker pool shared across hypothesis examples, so the
-    test measures transport equivalence rather than pool spawn time."""
+    test measures shard equivalence rather than pool spawn time."""
     from repro.flow.resilience import set_shard_pool_provider
 
     provider = WarmPoolProvider(jobs=2)
@@ -443,39 +383,35 @@ def eq_pool():
     provider.close()
 
 
-class TestTransportEquivalence:
+class TestShardEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(nl=netlists())
     # At scale: an 11,975-gate genscale design, 64 sampled faults.
     @example(nl=genscale.generate_netlist(10_000, seed=1,
                                           signature_bits=32))
-    def test_shm_and_pickle_agree(self, eq_pool, nl):
-        import os
-
+    def test_sharded_equals_serial(self, eq_pool, nl):
         faults = genscale.sample_faults(nl, 64, seed=3)
         if len(faults) < 8:
             return
         seq = _sequence(nl, width=8, n_cycles=3)
         saved = shard.TEST_FAULTS_PER_SHARD
         shard.TEST_FAULTS_PER_SHARD = 4
-        got = {}
         try:
-            for t in ("pickle", "shm"):
-                os.environ[shm.TRANSPORT_ENV] = t
-                for shards in (2, 4):
-                    got[t, shards] = fault_sim.fault_simulate_cycles(
-                        nl, faults, seq, width=8, shards=shards,
-                        backend="kernel",
-                    )
+            got = {
+                shards: fault_sim.fault_simulate_cycles(
+                    nl, faults, seq, width=8, shards=shards,
+                    backend="kernel",
+                )
+                for shards in (2, 4)
+            }
         finally:
             shard.TEST_FAULTS_PER_SHARD = saved
-            os.environ.pop(shm.TRANSPORT_ENV, None)
         serial = fault_sim.fault_simulate_cycles(
             nl, faults, seq, width=8, shards=1, backend="kernel",
         )
-        for config, result in got.items():
-            assert result == serial, config
-            assert list(result) == list(serial), config
+        for shards, result in got.items():
+            assert result == serial, shards
+            assert list(result) == list(serial), shards
 
 
 # -- scale-proof generator -------------------------------------------------

@@ -6,7 +6,8 @@ shard runs fewer kernel passes than the serial call.
 on small designs keep taking the sharded path.  The tests here set it
 back to ``None`` and check the real rule at real sizes from counts
 alone, never a timing, and check that the hook does make every engine
-dispatch.
+dispatch, unless shared memory does not work: then every engine runs
+serially.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 import pytest
 
 from repro.designs import dmachine_bist
-from repro.flow import resilience
+from repro.flow import resilience, shm
 from repro.flow.metrics import collect
 from repro.gatelevel import genscale, shard
 from repro.gatelevel.bist_session import bist_fault_attribution
@@ -211,3 +212,42 @@ class TestHookDispatches:
         nl = genscale.generate_netlist(120, seed=4)
         generate_tests(nl, faults=all_faults(nl)[:40], predrop=0, shards=2)
         assert dispatches == ["podem_shard"]
+
+
+def _faultsim(shards):
+    nl = genscale.generate_netlist(200, seed=3)
+    seq = genscale.random_patterns(nl, 2, seed=2, width=8)
+    return fault_simulate_cycles(nl, all_faults(nl)[:64], seq, width=8,
+                                 shards=shards)
+
+
+def _podem(shards):
+    nl = genscale.generate_netlist(120, seed=4)
+    return generate_tests(nl, faults=all_faults(nl)[:40], predrop=0,
+                          shards=shards)
+
+
+def _bist(shards):
+    nl = genscale.generate_netlist(300, seed=5, signature_bits=8)
+    return bist_fault_attribution(genscale.bist_wrap(nl), sessions=[["u0"]],
+                                  cycles=12, faults=all_faults(nl)[:64],
+                                  shards=shards)
+
+
+@pytest.mark.parametrize("engine", [_faultsim, _podem, _bist],
+                         ids=["fault_simulation", "podem", "bist"])
+def test_degrades_to_serial_without_shm(engine, monkeypatch, dispatches):
+    """Where no segment can be made (the cached probe reads False), a
+    call the suite's hook would shard runs serially instead: the same
+    result in the same order, no ``run_sharded`` call, and the degrade
+    on record."""
+    monkeypatch.setattr(shm, "_SHM_PROBE", False)
+    with collect() as custom:
+        got = engine(2)
+    assert dispatches == []
+    assert custom["shard_degraded"] == 1
+    assert custom["shards_used"] == 1
+    serial = engine(1)
+    assert got == serial
+    if isinstance(got, dict):
+        assert list(got) == list(serial)
